@@ -39,6 +39,9 @@ SMC_VARIANTS = (JOINT_MCMC_MOVE, BACKWARD_KERNEL)
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+# parent x child pairs per work block of the backward mixture denominator
+_MIXTURE_BLOCK_PAIRS = 1 << 16
+
 
 @dataclass
 class BandwidthSchedule:
@@ -141,8 +144,10 @@ def ess(weights):
 
 
 def normalize_log_weights(log_w, step=None):
-    """Normalized linear weights from log weights; fails loudly on collapse."""
+    """Normalized linear weights from log weights; fails loudly on collapse or NaN."""
     m = float(np.max(log_w))
+    if math.isnan(m):  # np.max propagates any NaN
+        raise ParticleCollapseError("NaN particle log weight", step=step)
     if m == -np.inf:
         raise ParticleCollapseError("all particle weights are zero", step=step)
     w = np.exp(log_w - m)
@@ -203,19 +208,53 @@ def mixture_logdensity(prev_thetas, prev_log_weights, new_thetas, mutation, mode
 
     ``prev_log_weights`` are normalized log weights.  For the prior-independence
     mutation the mixture collapses to the prior density.
+
+    The random-walk mixture is an exact log-sum-exp over every parent with a
+    nonzero weight: no term is truncated or approximated.  It runs over
+    blocks of new points, so memory is O(N_prev + M): besides copies of the
+    inputs it holds at most two work buffers of max(``_MIXTURE_BLOCK_PAIRS``,
+    N_prev) doubles, 512 KiB each up to N_prev = 65,536, whatever M and the
+    parameter dimension.  A new point gets -inf exactly when every previous
+    weight is zero.
     """
     new_thetas = np.atleast_2d(np.asarray(new_thetas, dtype=float))
     if mutation.kind == "prior":
         return model.prior_logdensity_batch(new_thetas)
     prev_thetas = np.atleast_2d(np.asarray(prev_thetas, dtype=float))
-    step = mutation.step_sd if mutation.step_sd is not None else model.prior_sd() / 2.0
-    z = (new_thetas[np.newaxis, :, :] - prev_thetas[:, np.newaxis, :]) / step
-    log_m = np.sum(-0.5 * z * z - np.log(step) - _LOG_SQRT_2PI, axis=-1)  # (N_prev, M)
-    terms = prev_log_weights[:, np.newaxis] + log_m
-    m = np.max(terms, axis=0)
-    with np.errstate(invalid="ignore"):
-        out = m + np.log(np.sum(np.exp(terms - m[np.newaxis, :]), axis=0))
-    return np.where(np.isneginf(m), -np.inf, out)
+    n_new, d = new_thetas.shape
+    step = np.broadcast_to(mutation.resolved(model).step_sd, (d,))
+    out = np.full(n_new, -np.inf)
+    live = ~np.isneginf(prev_log_weights)
+    n_live = int(np.count_nonzero(live))
+    if n_live == 0:
+        return out
+    # coordinates scaled by sqrt(2) * step, so a squared difference is 0.5 * z^2;
+    # parents lie along the contiguous axis of every work row
+    scale = math.sqrt(2.0) * step
+    parents = np.ascontiguousarray((prev_thetas[live] / scale).T)   # (d, N_live)
+    children = new_thetas / scale                                    # (M, d)
+    log_w = prev_log_weights[live]
+    rows = max(1, _MIXTURE_BLOCK_PAIRS // n_live)
+    buf = np.empty((min(rows, n_new), n_live))
+    tmp = np.empty_like(buf) if d > 1 else None
+    with np.errstate(invalid="ignore"):  # only rows whose every term overflows
+        for start in range(0, n_new, rows):
+            child = children[start:start + rows]
+            b = buf[:child.shape[0]]
+            np.subtract(child[:, :1], parents[0], out=b)
+            np.multiply(b, b, out=b)
+            for k in range(1, d):
+                t = tmp[:child.shape[0]]
+                np.subtract(child[:, k:k + 1], parents[k], out=t)
+                np.multiply(t, t, out=t)
+                b += t
+            b -= log_w                      # minus the log terms, log W_j - 0.5 z^2
+            low = np.min(b, axis=1)         # minus each row's largest term
+            np.subtract(low[:, np.newaxis], b, out=b)
+            np.exp(b, out=b)
+            out[start:start + child.shape[0]] = np.where(
+                np.isposinf(low), -np.inf, np.log(np.sum(b, axis=1)) - low)
+    return out - (np.sum(np.log(step)) + d * _LOG_SQRT_2PI)
 
 
 def incremental_weight_backward(theta_new, log_num_new, prev_thetas, prev_weights,
@@ -233,7 +272,8 @@ def incremental_weight_backward(theta_new, log_num_new, prev_thetas, prev_weight
     with np.errstate(divide="ignore"):
         prev_logw = np.log(prev_weights)
     mix = float(mixture_logdensity(prev_thetas, prev_logw, theta_new, mutation, model)[0])
-    assert mix > -np.inf, "mutation mixture vanished at an in-support point"
+    if mix == -np.inf:
+        raise ParticleCollapseError("mutation mixture vanished: every previous weight is zero")
     return log_num_new - mix
 
 
@@ -366,17 +406,20 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
 
 
 def _propose_batch(mutation, thetas, model, rng):
+    """Mutated copies of ``thetas``; ``mutation`` is already resolved for ``model``."""
     if mutation.kind == "prior":
         return model.prior_sample_batch(thetas.shape[0], rng)
-    step = mutation.step_sd if mutation.step_sd is not None else model.prior_sd() / 2.0
-    return thetas + rng.normal(0.0, step, size=thetas.shape)
+    return thetas + rng.normal(0.0, mutation.step_sd, size=thetas.shape)
 
 
 def _log_q_batch(mutation, frm, to, model):
-    """log q(frm_i -> to_i) per particle, matching ProposalSpec.logdensity exactly."""
+    """log q(frm_i -> to_i) per particle for a resolved ``mutation``.
+
+    Matches ProposalSpec.logdensity exactly.
+    """
     if mutation.kind == "prior":
         return np.asarray(model.prior_logdensity_batch(to), dtype=float)
-    step = mutation.step_sd if mutation.step_sd is not None else model.prior_sd() / 2.0
+    step = mutation.step_sd
     z = (np.asarray(to, dtype=float) - np.asarray(frm, dtype=float)) / step
     return np.sum(-0.5 * z * z - np.log(step) - _LOG_SQRT_2PI, axis=-1)
 

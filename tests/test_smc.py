@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import lfs
 from lfs.diagnostics import ks_2sample_permutation, weighted_moments
 from lfs.errors import ConfigurationError, ParticleCollapseError
 from lfs.kernels import SmoothingKernel
@@ -14,7 +19,25 @@ from lfs.smc import (BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule,
                      SmcVariantSpec, apply_particle_rejection, ess,
                      incremental_weight_backward, incremental_weight_joint,
                      incremental_weight_joint_general, mixture_logdensity,
-                     run_smc, systematic_indices)
+                     normalize_log_weights, run_smc, systematic_indices)
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _dense_mixture_logdensity(prev_thetas, prev_log_weights, new_thetas, mutation, model):
+    """The original (N_prev, M, d) broadcast implementation, kept as the reference."""
+    new_thetas = np.atleast_2d(np.asarray(new_thetas, dtype=float))
+    if mutation.kind == "prior":
+        return model.prior_logdensity_batch(new_thetas)
+    prev_thetas = np.atleast_2d(np.asarray(prev_thetas, dtype=float))
+    step = mutation.step_sd if mutation.step_sd is not None else model.prior_sd() / 2.0
+    z = (new_thetas[np.newaxis, :, :] - prev_thetas[:, np.newaxis, :]) / step
+    log_m = np.sum(-0.5 * z * z - np.log(step) - _LOG_SQRT_2PI, axis=-1)  # (N_prev, M)
+    terms = prev_log_weights[:, np.newaxis] + log_m
+    m = np.max(terms, axis=0)
+    with np.errstate(invalid="ignore"):
+        out = m + np.log(np.sum(np.exp(terms - m[np.newaxis, :]), axis=0))
+    return np.where(np.isneginf(m), -np.inf, out)
 
 
 @pytest.fixture
@@ -148,6 +171,86 @@ def test_backward_weight_neginf_numerator(model):
     assert w == -np.inf
 
 
+def test_backward_weight_all_zero_previous_weights_raises(model):
+    with pytest.raises(ParticleCollapseError):
+        incremental_weight_backward(np.array([0.1]), -1.0, np.array([[0.0], [1.0]]),
+                                    np.zeros(2), ProposalSpec("random-walk", 0.5), model)
+
+
+def test_backward_weight_collapse_raises_under_optimize():
+    # the check must survive ``python -O``, which strips assert statements
+    code = (
+        "import numpy as np\n"
+        "from lfs.errors import ParticleCollapseError\n"
+        "from lfs.mcmc import ProposalSpec\n"
+        "from lfs.models import NormalMeanModel\n"
+        "from lfs.smc import incremental_weight_backward\n"
+        "if __debug__:\n"
+        "    raise SystemExit(4)\n"
+        "try:\n"
+        "    incremental_weight_backward(np.array([0.1]), -1.0, np.array([[0.0], [1.0]]),\n"
+        "                                np.zeros(2), ProposalSpec('random-walk', 0.5),\n"
+        "                                NormalMeanModel())\n"
+        "except ParticleCollapseError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(3)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lfs.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _mixture_case(seed, n_prev, m, d, n_dead=0):
+    rng = substream(seed, "mixture-case")
+    prev = rng.normal(0.0, 1.5, size=(n_prev, d))
+    new = prev[rng.integers(0, n_prev, size=m)] + rng.normal(0.0, 0.8, size=(m, d))
+    log_w = rng.normal(0.0, 2.0, size=n_prev)
+    log_w[rng.choice(n_prev, size=n_dead, replace=False)] = -np.inf
+    live = np.isfinite(log_w)
+    log_w[live] -= np.log(np.sum(np.exp(log_w[live])))
+    return prev, log_w, new
+
+
+@pytest.mark.parametrize("n_prev, m, d, step_sd, n_dead", [
+    (1000, 777, 1, None, 0),          # default step; M, N not multiples of the rows
+    (1000, 1, 1, 0.4, 0),             # a single new point
+    (333, 1234, 2, [0.3, 1.7], 0),    # per-dimension step
+    (70_000, 3, 1, 0.5, 0),           # N_prev beyond one block: one child per block
+    (500, 200, 1, 0.5, 123),          # some dead parents
+    (400, 150, 2, [0.6, 0.2], 399),   # a single live parent
+])
+def test_blocked_mixture_matches_dense(model, n_prev, m, d, step_sd, n_dead):
+    prev, log_w, new = _mixture_case(n_prev + m, n_prev, m, d, n_dead)
+    mutation = ProposalSpec("random-walk", step_sd)
+    got = mixture_logdensity(prev, log_w, new, mutation, model)
+    expected = _dense_mixture_logdensity(prev, log_w, new, mutation, model)
+    assert got.shape == (m,)
+    assert np.all(np.isfinite(expected))
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_blocked_mixture_all_dead_parents(model):
+    prev, _, new = _mixture_case(31, 50, 70, 1)
+    got = mixture_logdensity(prev, np.full(50, -np.inf), new,
+                             ProposalSpec("random-walk", 0.5), model)
+    assert got.shape == (70,) and np.all(np.isneginf(got))
+
+
+def test_blocked_mixture_memory_bounded(model):
+    # the dense form would need 320 MB for each (N_prev, M) temporary
+    prev, log_w, new = _mixture_case(32, 20_000, 2_000, 1)
+    tracemalloc.start()
+    try:
+        out = mixture_logdensity(prev, log_w, new, ProposalSpec("random-walk", 0.5), model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(out))
+    assert peak < 16 * 2**20
+
+
 def test_mixture_prior_mutation(model):
     mutation = ProposalSpec("prior")
     new = np.array([[0.3], [5.0]])
@@ -275,6 +378,29 @@ def test_total_collapse_raises(model):
         run_smc(model, kernel, schedule, 1, 50, JOINT_MCMC_MOVE, ProposalSpec(),
                 seed=12, t_y=0.0)
     assert err.value.step == 2
+
+
+def test_normalize_log_weights_nan_raises():
+    with pytest.raises(ParticleCollapseError) as err:
+        normalize_log_weights(np.array([-1.0, np.nan, -2.0]), step=4)
+    assert err.value.step == 4
+
+
+class _NanBundleModel(NormalMeanModel):
+    """Normal-mean model whose simulator returns NaN for every tenth bundle."""
+
+    def simulate_batch(self, thetas, n, rng):
+        out = super().simulate_batch(thetas, n, rng)
+        out[::10] = np.nan
+        return out
+
+
+def test_nan_simulator_output_raises_instead_of_nan_weights(kernel):
+    schedule = BandwidthSchedule.geometric(2.0, 0.5, 4)
+    for variant in (BACKWARD_KERNEL, JOINT_MCMC_MOVE):
+        with pytest.raises(ParticleCollapseError):
+            run_smc(_NanBundleModel(), kernel, schedule, 2, 100, variant, ProposalSpec(),
+                    seed=14, t_y=0.0)
 
 
 def test_backward_with_threshold_still_targets(model, kernel):
