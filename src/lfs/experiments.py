@@ -19,13 +19,12 @@ import numpy as np
 
 from .diagnostics import (bootstrap_mean_diff_ci, ks_2sample_permutation,
                           ks_statistic, weighted_moments)
-from .mcmc import (CARRIED_BUNDLE, FRESH_DENOMINATOR, ProposalSpec,
-                   acceptance_logratio, run_mcmc)
+from .mcmc import CARRIED_BUNDLE, FRESH_DENOMINATOR, ProposalSpec, run_mcmc
 from .rejection import run_rejection
 from .rng import derive_seed, substream
 from .smc import (BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule,
                   incremental_weight_joint_general, run_smc)
-from .target import joint_logdensity_unnorm
+from .target import joint_logdensity_unnorm, mh_step
 
 
 def _ratio_or_neginf(num, den):
@@ -62,18 +61,14 @@ def dual_bookkeeping_mcmc(config, seed=None):
     mismatch_with_production = {"value": 0.0, "iteration": None}
 
     def check(rec):
-        lhat_prop = joint_logdensity_unnorm(rec.theta_prop, rec.bundle_prop,
-                                            t_y, kernel, model)
-        lhat_curr = joint_logdensity_unnorm(rec.theta_curr, rec.bundle_curr,
-                                            t_y, kernel, model)
-        ratio_marginal = acceptance_logratio(lhat_prop, lhat_curr, rec.theta_prop,
-                                             rec.theta_curr, proposal, model)
-        num_prop = joint_logdensity_unnorm(rec.theta_prop, rec.bundle_prop,
-                                           t_y, kernel, model)
-        num_curr = joint_logdensity_unnorm(rec.theta_curr, rec.bundle_curr,
-                                           t_y, kernel, model)
-        ratio_joint = acceptance_logratio(num_prop, num_curr, rec.theta_prop,
-                                          rec.theta_curr, proposal, model)
+        prop, curr = rec.prop, rec.curr
+        lhat_prop = joint_logdensity_unnorm(prop.theta, prop.bundle, t_y, kernel, model)
+        lhat_curr = joint_logdensity_unnorm(curr.theta, curr.bundle, t_y, kernel, model)
+        log_q_ratio = proposal.log_q_ratio(curr.theta, prop.theta, model)
+        ratio_marginal = float(mh_step(lhat_prop, lhat_curr, log_q_ratio, rec.u)[0])
+        num_prop = joint_logdensity_unnorm(prop.theta, prop.bundle, t_y, kernel, model)
+        num_curr = joint_logdensity_unnorm(curr.theta, curr.bundle, t_y, kernel, model)
+        ratio_joint = float(mh_step(num_prop, num_curr, log_q_ratio, rec.u)[0])
         d = _discrepancy(ratio_marginal, ratio_joint)
         if d > worst["value"]:
             worst.update(value=d, iteration=rec.iteration)
@@ -110,8 +105,8 @@ def dual_bookkeeping_smc(config, seed=None):
         count["n"] += 1
         kern_new = kernel.with_bandwidth(rec.h_new)
         kern_prev = kernel.with_bandwidth(rec.h_prev)
-        log_m = mutation.logdensity(rec.theta_curr, rec.theta_prop, model)
-        log_l = mutation.logdensity(rec.theta_prop, rec.theta_curr, model)
+        log_m = float(mutation.logdensity(rec.theta_curr, rec.theta_prop, model))
+        log_l = float(mutation.logdensity(rec.theta_prop, rec.theta_curr, model))
         # marginal bookkeeping: estimates of the two smoothed marginals
         lhat_new = joint_logdensity_unnorm(rec.theta_prop, rec.bundle_prop,
                                            t_y, kern_new, model)

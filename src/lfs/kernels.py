@@ -153,10 +153,12 @@ class SmoothingKernel:
         """log pooled_evaluate, computed stably in log space (-inf on all-miss)."""
         d = self._bundle_distances(t_y, bundle)
         logs = self._log_profile(d)
+        if logs.shape[-1] == 1:
+            return logs[..., 0]  # the log-sum-exp of one term, bit for bit
         m = np.max(logs, axis=-1)
         with np.errstate(invalid="ignore"):
             body = m + np.log(np.mean(np.exp(logs - m[..., np.newaxis]), axis=-1))
-        return np.where(np.isneginf(m), -np.inf, body)
+        return np.where(m == -np.inf, -np.inf, body)
 
     def _bundle_distances(self, t_y, bundle):
         bundle = np.asarray(bundle, dtype=float)

@@ -19,23 +19,21 @@ and the joint-density reading of the ratio are the same expression, so there
 is exactly one code path for it.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BudgetExhaustedError, ConfigurationError, DomainError
+from .kernels import _LOG_SQRT_2PI
 from .rng import substream
-from .target import joint_logdensity_unnorm
+from .target import AugmentedState, joint_logdensity_unnorm, mh_step, simulate_checked
 
 CARRIED_BUNDLE = "carried"
 FRESH_DENOMINATOR = "fresh"
 MCMC_VARIANTS = (CARRIED_BUNDLE, FRESH_DENOMINATOR)
 
 PROPOSAL_KINDS = ("random-walk", "prior")
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass
@@ -46,7 +44,9 @@ class ProposalSpec:
     ``prior``: independence proposal from the model's prior.
 
     A ``None`` step sd resolves to half the prior sd per dimension — a
-    documented default so experiments stay reproducible.
+    documented default so experiments stay reproducible.  ``sample`` and
+    ``logdensity`` need the resolved spec and are vectorized over leading
+    axes: theta (..., param_dim) is a batch, (param_dim,) a single point.
     """
 
     kind: str = "random-walk"
@@ -66,26 +66,28 @@ class ProposalSpec:
             return ProposalSpec(self.kind, model.prior_sd() / 2.0)
         return self
 
+    @property
+    def symmetric(self):
+        """q(a -> b) == q(b -> a) exactly, so q cancels from every MH ratio."""
+        return self.kind == "random-walk"
+
     def sample(self, theta, model, rng):
         if self.kind == "prior":
-            return model.prior_sample(rng)
-        step = self.step_sd if self.step_sd is not None else model.prior_sd() / 2.0
-        return theta + rng.normal(0.0, step)
+            return model.prior_sample(rng, np.shape(theta)[:-1])
+        return theta + self.step_sd * rng.standard_normal(np.shape(theta))
 
     def logdensity(self, frm, to, model):
         """log q(frm -> to); pointwise evaluable for both kinds."""
         if self.kind == "prior":
-            return float(model.prior_logdensity(to))
-        step = self.step_sd if self.step_sd is not None else model.prior_sd() / 2.0
-        z = (np.asarray(to, dtype=float) - np.asarray(frm, dtype=float)) / step
-        return float(np.sum(-0.5 * z * z - np.log(step) - _LOG_SQRT_2PI))
+            return model.prior_logdensity(to)
+        z = (np.asarray(to, dtype=float) - np.asarray(frm, dtype=float)) / self.step_sd
+        return np.sum(-0.5 * z * z - np.log(self.step_sd) - _LOG_SQRT_2PI, axis=-1)
 
-
-@dataclass
-class ChainState:
-    theta: np.ndarray
-    bundle: np.ndarray
-    log_num: float
+    def log_q_ratio(self, curr, prop, model):
+        """log q(prop -> curr) - log q(curr -> prop); exactly 0.0 when symmetric."""
+        if self.symmetric:
+            return 0.0
+        return self.logdensity(prop, curr, model) - self.logdensity(curr, prop, model)
 
 
 @dataclass
@@ -93,13 +95,10 @@ class IterationRecord:
     """Per-iteration quantities handed to instrumentation callbacks."""
 
     iteration: int
-    theta_prop: np.ndarray
-    bundle_prop: np.ndarray
-    log_num_prop: float
-    theta_curr: np.ndarray
-    bundle_curr: np.ndarray
-    log_num_curr: float
+    prop: AugmentedState
+    curr: AugmentedState          # the fresh estimate, for the fresh variant
     log_ratio: float
+    u: float
     accepted: bool
 
 
@@ -115,51 +114,32 @@ class McmcOutput:
     burn_in: int
     thin: int
     seed: int
-    extras: dict = field(default_factory=dict)
 
 
-def acceptance_logratio(log_num_prop, log_num_curr, theta_prop, theta_curr,
-                        proposal, model):
-    """Log acceptance ratio; acceptance probability is min(1, exp(.)).
-
-    The identical expression serves both the marginal-estimate reading and
-    the joint-density reading of the ratio — this function is the single
-    implementation both interpretations share.
-
-    When both cached values are -inf the ratio is undefined; the move is
-    rejected to keep the chain well defined on the kernel's support (the
-    initializer guarantees the chain starts inside it).
-    """
-    if log_num_prop == -np.inf and log_num_curr == -np.inf:
-        return -np.inf
-    log_q_fwd = proposal.logdensity(theta_curr, theta_prop, model)
-    log_q_back = proposal.logdensity(theta_prop, theta_curr, model)
-    return (log_num_prop - log_num_curr) + (log_q_back - log_q_fwd)
+def _simulated_state(theta, model, kernel, t_y, S, rng):
+    bundle = simulate_checked(model, theta, S, rng)
+    log_num = joint_logdensity_unnorm(theta, bundle, t_y, kernel, model)
+    return AugmentedState(theta, bundle, log_num)
 
 
 def initialize_chain(model, kernel, t_y, S, rng, init=None, init_budget=100_000):
-    """Draw a starting state with nonzero pooled kernel (budgeted)."""
+    """Draw a starting state with nonzero pooled kernel (budgeted).
+
+    With ``init`` the parameter is fixed and only its bundle is redrawn.
+    """
     if init is not None:
-        theta = np.atleast_1d(np.asarray(init, dtype=float))
-        if model.prior_logdensity(theta) == -np.inf:
-            raise DomainError(f"init theta={theta} outside the prior's support")
-        for _ in range(init_budget):
-            bundle = model.simulate(theta, S, rng)
-            log_num = joint_logdensity_unnorm(theta, bundle, t_y, kernel, model)
-            if log_num > -np.inf:
-                return ChainState(theta, bundle, log_num)
-        raise BudgetExhaustedError(
-            f"no bundle with nonzero kernel at init theta after {init_budget} tries",
-            proposals_used=init_budget)
+        init = np.atleast_1d(np.asarray(init, dtype=float))
+        if model.prior_logdensity(init) == -np.inf:
+            raise DomainError(f"init theta={init} outside the prior's support")
     for _ in range(init_budget):
-        theta = model.prior_sample(rng)
-        bundle = model.simulate(theta, S, rng)
-        log_num = joint_logdensity_unnorm(theta, bundle, t_y, kernel, model)
-        if log_num > -np.inf:
-            return ChainState(theta, bundle, log_num)
+        theta = model.prior_sample(rng) if init is None else init
+        state = _simulated_state(theta, model, kernel, t_y, S, rng)
+        if state.log_num > -np.inf:
+            return state
+    where = "from the prior" if init is None else f"at init theta={init}"
     raise BudgetExhaustedError(
-        f"chain initialization found no state with nonzero kernel in {init_budget} draws",
-        proposals_used=init_budget)
+        f"chain initialization found no state with nonzero kernel {where} "
+        f"in {init_budget} draws", proposals_used=init_budget)
 
 
 def run_mcmc(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, seed, *,
@@ -189,31 +169,19 @@ def run_mcmc(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, seed, *,
         theta_prop = proposal.sample(state.theta, model, rng)
         accepted = False
         if model.prior_logdensity(theta_prop) > -np.inf:
-            bundle_prop = model.simulate(theta_prop, S, rng)
-            log_num_prop = joint_logdensity_unnorm(theta_prop, bundle_prop, t_y, kernel, model)
+            prop = _simulated_state(theta_prop, model, kernel, t_y, S, rng)
             if variant == FRESH_DENOMINATOR:
-                bundle_curr = model.simulate(state.theta, S, rng)
-                log_num_curr = joint_logdensity_unnorm(
-                    state.theta, bundle_curr, t_y, kernel, model)
-            else:
-                bundle_curr = state.bundle
-                log_num_curr = state.log_num
-            log_ratio = acceptance_logratio(
-                log_num_prop, log_num_curr, theta_prop, state.theta, proposal, model)
-            u = rng.uniform()
-            accepted = log_ratio >= 0.0 or u < math.exp(log_ratio)
-            if on_iteration is not None:
-                on_iteration(IterationRecord(
-                    iteration=n, theta_prop=theta_prop, bundle_prop=bundle_prop,
-                    log_num_prop=log_num_prop, theta_curr=state.theta,
-                    bundle_curr=bundle_curr, log_num_curr=log_num_curr,
-                    log_ratio=log_ratio, accepted=accepted))
-            if accepted:
-                state = ChainState(theta_prop, bundle_prop, log_num_prop)
-                n_accepted += 1
-            elif variant == FRESH_DENOMINATOR:
                 # latest estimate at the (unchanged) current parameter
-                state = ChainState(state.theta, bundle_curr, log_num_curr)
+                state = _simulated_state(state.theta, model, kernel, t_y, S, rng)
+            u = rng.uniform()
+            log_q_ratio = proposal.log_q_ratio(state.theta, prop.theta, model)
+            log_ratio, accepted = mh_step(prop.log_num, state.log_num, log_q_ratio, u)
+            if on_iteration is not None:
+                on_iteration(IterationRecord(n, prop, state, float(log_ratio), u,
+                                             bool(accepted)))
+            if accepted:
+                state = prop
+                n_accepted += 1
         if n > burn_in and (n - burn_in - 1) % thin == 0:
             kept_iters.append(n)
             kept_thetas.append(state.theta.copy())

@@ -21,6 +21,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from .errors import CapabilityError, ConfigurationError, DomainError
+from .kernels import _LOG_SQRT_2PI
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -50,35 +51,39 @@ class Model:
     param_dim = 1
     summary_dim = 1
 
-    def prior_sample(self, rng):
+    def prior_sample(self, rng, shape=()):
+        """Prior draws of shape ``shape + (param_dim,)``."""
         raise NotImplementedError
-
-    def prior_sample_batch(self, n, rng):
-        return np.stack([self.prior_sample(rng) for _ in range(n)])
 
     def prior_logdensity(self, theta):
+        """Log prior density of theta (..., param_dim), shape (...); -inf off support."""
         raise NotImplementedError
-
-    def prior_logdensity_batch(self, thetas):
-        return np.array([self.prior_logdensity(t) for t in thetas])
 
     def prior_sd(self):
         """Per-dimension prior standard deviation (used for proposal defaults)."""
         raise NotImplementedError
 
     def simulate(self, theta, n, rng):
-        """Draw n conditionally independent summary vectors given theta."""
-        raise NotImplementedError
+        """n conditionally independent summary vectors per parameter value.
 
-    def simulate_batch(self, thetas, n, rng):
-        """Bundles for a batch of parameter values, shape (B, n, summary_dim)."""
-        return np.stack([self.simulate(t, n, rng) for t in thetas])
+        theta (..., param_dim) gives shape (..., n, summary_dim); a single
+        theta of shape (param_dim,) gives (n, summary_dim).
+        """
+        raise NotImplementedError
 
     def oracle(self, t_y, kernel):
         raise CapabilityError(f"model {self.name!r} has no analytic oracle")
 
     def hyperparameters(self):
         return {}
+
+
+def _as_theta(theta, param_dim):
+    """theta as a float array of shape (..., param_dim); DomainError otherwise."""
+    th = np.asarray(theta, dtype=float)
+    if th.shape[-1:] != (param_dim,):
+        raise DomainError(f"expected theta of shape (..., {param_dim}), got {th.shape}")
+    return th
 
 
 def _scalar_theta(theta):
@@ -100,37 +105,24 @@ class NormalMeanModel(Model):
         self._prior_sd = float(prior_sd_value)
         self.tau = float(tau)
 
-    def prior_sample(self, rng):
-        return np.array([rng.normal(self.prior_mean, self._prior_sd)])
-
-    def prior_sample_batch(self, n, rng):
-        return rng.normal(self.prior_mean, self._prior_sd, size=(n, 1))
+    def prior_sample(self, rng, shape=()):
+        return rng.normal(self.prior_mean, self._prior_sd, size=(*shape, 1))
 
     def prior_logdensity(self, theta):
-        th = _scalar_theta(theta)
-        if not math.isfinite(th):
-            return -np.inf
+        th = _as_theta(theta, self.param_dim)[..., 0]
         z = (th - self.prior_mean) / self._prior_sd
-        return -0.5 * z * z - math.log(self._prior_sd) - 0.5 * math.log(2.0 * math.pi)
-
-    def prior_logdensity_batch(self, thetas):
-        z = (np.asarray(thetas, dtype=float).reshape(-1) - self.prior_mean) / self._prior_sd
-        return -0.5 * z * z - math.log(self._prior_sd) - 0.5 * math.log(2.0 * math.pi)
+        body = -0.5 * z * z - math.log(self._prior_sd) - _LOG_SQRT_2PI
+        # an infinite theta already gives -inf; fmax maps a NaN theta's NaN to -inf
+        return np.fmax(body, -np.inf)
 
     def prior_sd(self):
         return np.array([self._prior_sd])
 
     def simulate(self, theta, n, rng):
-        th = _scalar_theta(theta)
-        if not math.isfinite(th):
-            raise DomainError(f"theta={th} outside the prior's support")
-        return rng.normal(th, self.tau, size=(n, 1))
-
-    def simulate_batch(self, thetas, n, rng):
-        thetas = np.asarray(thetas, dtype=float).reshape(-1, 1, 1)
-        if not np.all(np.isfinite(thetas)):
-            raise DomainError("non-finite theta in batch")
-        return rng.normal(thetas, self.tau, size=(thetas.shape[0], n, 1))
+        th = _as_theta(theta, self.param_dim)
+        if not np.isfinite(th).all():
+            raise DomainError("non-finite theta is outside the prior's support")
+        return th[..., np.newaxis, :] + self.tau * rng.standard_normal((*th.shape[:-1], n, 1))
 
     def smoothed_loglik(self, thetas, t_y, kernel):
         """log of the kernel-smoothed likelihood  integral K_h(t_y - t) f(t|theta) dt.
@@ -198,35 +190,22 @@ class BernoulliCountModel(Model):
             raise ConfigurationError("trial count must be a positive integer")
         self.trials = trials
 
-    def prior_sample(self, rng):
-        return np.array([rng.uniform(0.0, 1.0)])
-
-    def prior_sample_batch(self, n, rng):
-        return rng.uniform(0.0, 1.0, size=(n, 1))
+    def prior_sample(self, rng, shape=()):
+        return rng.uniform(0.0, 1.0, size=(*shape, 1))
 
     def prior_logdensity(self, theta):
-        th = _scalar_theta(theta)
-        return 0.0 if 0.0 <= th <= 1.0 else -np.inf
-
-    def prior_logdensity_batch(self, thetas):
-        th = np.asarray(thetas, dtype=float).reshape(-1)
+        th = _as_theta(theta, self.param_dim)[..., 0]
         return np.where((th >= 0.0) & (th <= 1.0), 0.0, -np.inf)
 
     def prior_sd(self):
         return np.array([1.0 / math.sqrt(12.0)])
 
     def simulate(self, theta, n, rng):
-        th = _scalar_theta(theta)
-        if not 0.0 <= th <= 1.0:
-            raise DomainError(f"theta={th} outside [0, 1]")
-        return rng.binomial(self.trials, th, size=(n, 1)).astype(float)
-
-    def simulate_batch(self, thetas, n, rng):
-        thetas = np.asarray(thetas, dtype=float).reshape(-1, 1)
-        if np.any(thetas < 0.0) or np.any(thetas > 1.0):
-            raise DomainError("theta outside [0, 1] in batch")
-        return rng.binomial(self.trials, thetas[:, :, np.newaxis],
-                            size=(thetas.shape[0], n, 1)).astype(float)
+        th = _as_theta(theta, self.param_dim)
+        if not ((th >= 0.0) & (th <= 1.0)).all():
+            raise DomainError("theta outside [0, 1]")
+        return rng.binomial(self.trials, th[..., np.newaxis, :],
+                            size=(*th.shape[:-1], n, 1)).astype(float)
 
     def smoothed_loglik(self, thetas, t_y, kernel):
         """log sum_t K_h(t_y - t) f(t|theta) over the finite summary support."""
@@ -298,7 +277,7 @@ def oracle_density(model, theta, t_y, kernel):
 
 
 class CountingModel:
-    """Delegating wrapper that counts simulator calls and summaries drawn."""
+    """Delegating wrapper that counts bundles simulated (one per theta row) and summaries."""
 
     def __init__(self, model):
         self._model = model
@@ -306,15 +285,10 @@ class CountingModel:
         self.n_summaries = 0
 
     def simulate(self, theta, n, rng):
-        self.n_calls += 1
-        self.n_summaries += n
+        rows = math.prod(np.shape(theta)[:-1])
+        self.n_calls += rows
+        self.n_summaries += rows * n
         return self._model.simulate(theta, n, rng)
-
-    def simulate_batch(self, thetas, n, rng):
-        batch = np.asarray(thetas).shape[0]
-        self.n_calls += batch
-        self.n_summaries += batch * n
-        return self._model.simulate_batch(thetas, n, rng)
 
     def __getattr__(self, item):
         return getattr(self._model, item)

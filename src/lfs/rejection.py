@@ -16,12 +16,13 @@ byte-identical for every worker count.
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExhaustedError, ConfigurationError
 from .rng import substream
+from .target import simulate_checked
 
 logger = logging.getLogger(__name__)
 
@@ -37,7 +38,6 @@ class RejectionOutput:
     bundles: np.ndarray           # (n_accept, S, summary_dim)
     proposals_used: int
     seed: int = 0
-    extras: dict = field(default_factory=dict)
 
     @property
     def n_accepted(self):
@@ -51,8 +51,8 @@ class RejectionOutput:
 def _evaluate_block(model, kernel, t_y, S, seed, block, block_size):
     """Propose one block on its own substream; returns (thetas, bundles, accept mask)."""
     rng = substream(seed, "reject", "block", block)
-    thetas = model.prior_sample_batch(block_size, rng)
-    bundles = model.simulate_batch(thetas, S, rng)
+    thetas = model.prior_sample(rng, (block_size,))
+    bundles = simulate_checked(model, thetas, S, rng)
     pooled = kernel.pooled_evaluate(t_y, bundles)
     u = rng.uniform(size=block_size)
     return thetas, bundles, u * kernel.sup_value() < pooled

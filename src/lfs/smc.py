@@ -25,19 +25,19 @@ deterministic function of the seed.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, ParticleCollapseError
+from .kernels import _LOG_SQRT_2PI
 from .rng import substream
+from .target import mh_step, simulate_checked
 
 JOINT_MCMC_MOVE = "joint-move"
 BACKWARD_KERNEL = "backward"
 SMC_VARIANTS = (JOINT_MCMC_MOVE, BACKWARD_KERNEL)
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # parent x child pairs per work block of the backward mixture denominator
 _MIXTURE_BLOCK_PAIRS = 1 << 16
@@ -76,16 +76,6 @@ class BandwidthSchedule:
     @property
     def n_steps(self):
         return self.values.size
-
-
-@dataclass
-class Particle:
-    """Per-particle view: parameter, bundle, and cached values at the current h."""
-
-    theta: np.ndarray
-    bundle: np.ndarray
-    log_weight: float
-    log_num: float
 
 
 @dataclass
@@ -134,7 +124,6 @@ class SmcOutput:
     schedule: BandwidthSchedule
     variant: str
     seed: int
-    extras: dict = field(default_factory=dict)
 
 
 def ess(weights):
@@ -168,7 +157,7 @@ def systematic_indices(weights, rng):
     return np.searchsorted(cum, positions)
 
 
-def incremental_weight_joint(particle_bundle, h_new, h_prev, kernel, t_y):
+def incremental_weight_joint(bundle, h_new, h_prev, kernel, t_y):
     """Reduced joint-space incremental weight: pooled-kernel ratio on the pre-move bundle.
 
     With a mutation kernel invariant for the new distribution and its
@@ -177,7 +166,6 @@ def incremental_weight_joint(particle_bundle, h_new, h_prev, kernel, t_y):
     evaluated before the move.  -inf when the tightened kernel kills the
     particle.
     """
-    bundle = particle_bundle.bundle if hasattr(particle_bundle, "bundle") else particle_bundle
     log_new = float(kernel.with_bandwidth(h_new).log_pooled(t_y, bundle))
     if log_new == -np.inf:
         return -np.inf
@@ -219,7 +207,7 @@ def mixture_logdensity(prev_thetas, prev_log_weights, new_thetas, mutation, mode
     """
     new_thetas = np.atleast_2d(np.asarray(new_thetas, dtype=float))
     if mutation.kind == "prior":
-        return model.prior_logdensity_batch(new_thetas)
+        return model.prior_logdensity(new_thetas)
     prev_thetas = np.atleast_2d(np.asarray(prev_thetas, dtype=float))
     n_new, d = new_thetas.shape
     step = np.broadcast_to(mutation.resolved(model).step_sd, (d,))
@@ -300,12 +288,6 @@ class ParticleSystem:
     def ess(self):
         return ess(self.normalized_weights())
 
-    def particles(self):
-        log_num = self.log_pooled + self.log_prior
-        return [Particle(self.thetas[i], self.bundles[i],
-                         float(self.log_weights[i]), float(log_num[i]))
-                for i in range(self.n)]
-
     def resample(self, indices):
         self.thetas = self.thetas[indices]
         self.bundles = self.bundles[indices]
@@ -367,11 +349,10 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
 
     # step 1: prior draws, bundles, weights proportional to the pooled kernel
     rng_init = substream(seed, "smc", "init")
-    thetas = model.prior_sample_batch(N, rng_init)
-    bundles = model.simulate_batch(thetas, S, rng_init)
-    kern = kernel.with_bandwidth(hs[0])
-    log_pooled = np.asarray(kern.log_pooled(t_y, bundles), dtype=float)
-    log_prior = np.asarray(model.prior_logdensity_batch(thetas), dtype=float)
+    thetas = model.prior_sample(rng_init, (N,))
+    bundles = simulate_checked(model, thetas, S, rng_init)
+    log_pooled = kernel.with_bandwidth(hs[0]).log_pooled(t_y, bundles)
+    log_prior = model.prior_logdensity(thetas)
     system = ParticleSystem(thetas, bundles, log_pooled.copy(), log_pooled, log_prior,
                             k=1, schedule=schedule)
 
@@ -405,40 +386,13 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
     )
 
 
-def _propose_batch(mutation, thetas, model, rng):
-    """Mutated copies of ``thetas``; ``mutation`` is already resolved for ``model``."""
-    if mutation.kind == "prior":
-        return model.prior_sample_batch(thetas.shape[0], rng)
-    return thetas + rng.normal(0.0, mutation.step_sd, size=thetas.shape)
-
-
-def _log_q_batch(mutation, frm, to, model):
-    """log q(frm_i -> to_i) per particle for a resolved ``mutation``.
-
-    Matches ProposalSpec.logdensity exactly.
-    """
-    if mutation.kind == "prior":
-        return np.asarray(model.prior_logdensity_batch(to), dtype=float)
-    step = mutation.step_sd
-    z = (np.asarray(to, dtype=float) - np.asarray(frm, dtype=float)) / step
-    return np.sum(-0.5 * z * z - np.log(step) - _LOG_SQRT_2PI, axis=-1)
-
-
-def _simulate_masked(model, thetas, mask, S, bundles, rng):
-    """Fresh bundles for the in-support rows, written in place into ``bundles``."""
-    if np.all(mask):
-        bundles[:] = model.simulate_batch(thetas, S, rng)
-    elif np.any(mask):
-        bundles[mask] = model.simulate_batch(thetas[mask], S, rng)
-
-
 def _joint_move_step(model, kern_new, t_y, S, seed, system, mutation,
                      ess_threshold, k, h_new, h_prev, resampled_steps,
                      acceptance_trace, on_mutation):
     n = system.n
     # reweight with the bandwidth-tightening factor on the pre-move bundles
     log_pooled_prev = system.log_pooled
-    log_pooled_new = np.asarray(kern_new.log_pooled(t_y, system.bundles), dtype=float)
+    log_pooled_new = kern_new.log_pooled(t_y, system.bundles)
     with np.errstate(invalid="ignore"):
         system.log_weights = np.where(
             np.isneginf(log_pooled_new), -np.inf,
@@ -456,24 +410,16 @@ def _joint_move_step(model, kern_new, t_y, S, seed, system, mutation,
     # mutate: one carried-bundle MH step per particle, invariant for the new target
     rng = substream(seed, "smc", "step", k, "mutate")
     log_num = system.log_pooled + system.log_prior
-    theta_prop = _propose_batch(mutation, system.thetas, model, rng)
-    lp_prior = np.asarray(model.prior_logdensity_batch(theta_prop), dtype=float)
+    theta_prop = mutation.sample(system.thetas, model, rng)
+    lp_prior = model.prior_logdensity(theta_prop)
     in_support = lp_prior > -np.inf
     bundles_prop = np.empty_like(system.bundles)
-    _simulate_masked(model, theta_prop, in_support, S, bundles_prop, rng)
-    log_pooled_prop = np.asarray(kern_new.log_pooled(t_y, bundles_prop), dtype=float)
-    log_pooled_prop = np.where(in_support, log_pooled_prop, -np.inf)
-    log_num_prop = log_pooled_prop + lp_prior
-
-    log_q_fwd = _log_q_batch(mutation, system.thetas, theta_prop, model)
-    log_q_back = _log_q_batch(mutation, theta_prop, system.thetas, model)
-    with np.errstate(invalid="ignore"):
-        log_ratio = (log_num_prop - log_num) + (log_q_back - log_q_fwd)
-    log_ratio = np.where(np.isneginf(log_num_prop) & np.isneginf(log_num),
-                         -np.inf, log_ratio)
-    u = rng.uniform(size=n)
-    with np.errstate(over="ignore"):
-        accept = in_support & ((log_ratio >= 0.0) | (u < np.exp(log_ratio)))
+    bundles_prop[in_support] = simulate_checked(model, theta_prop[in_support], S, rng)
+    log_pooled_prop = np.where(in_support, kern_new.log_pooled(t_y, bundles_prop), -np.inf)
+    log_ratio, accept = mh_step(log_pooled_prop + lp_prior, log_num,
+                                mutation.log_q_ratio(system.thetas, theta_prop, model),
+                                rng.uniform(size=n))
+    accept &= in_support
 
     if on_mutation is not None:
         for i in range(n):
@@ -510,12 +456,11 @@ def _backward_step(model, kern_new, t_y, S, seed, system, norm_w, mutation,
         resampled_steps.append(k)
 
     rng = substream(seed, "smc", "step", k, "mutate")
-    new_thetas = _propose_batch(mutation, system.thetas, model, rng)
-    log_prior_new = np.asarray(model.prior_logdensity_batch(new_thetas), dtype=float)
+    new_thetas = mutation.sample(system.thetas, model, rng)
+    log_prior_new = model.prior_logdensity(new_thetas)
     in_support = log_prior_new > -np.inf
-    _simulate_masked(model, new_thetas, in_support, S, system.bundles, rng)
-    log_pooled_new = np.asarray(kern_new.log_pooled(t_y, system.bundles), dtype=float)
-    log_pooled_new = np.where(in_support, log_pooled_new, -np.inf)
+    system.bundles[in_support] = simulate_checked(model, new_thetas[in_support], S, rng)
+    log_pooled_new = np.where(in_support, kern_new.log_pooled(t_y, system.bundles), -np.inf)
 
     log_num_new = log_pooled_new + log_prior_new
     log_mix = mixture_logdensity(prev_thetas, prev_logw, new_thetas, mutation, model)

@@ -1,5 +1,7 @@
 import numpy as np
 
+from lfs.models import NormalMeanModel
+
 
 class ConstantKernel:
     """Kernel stub with evaluate identically equal to its supremum."""
@@ -26,3 +28,23 @@ class ConstantKernel:
 
     def with_bandwidth(self, h):
         return self
+
+
+class NanBundleModel(NormalMeanModel):
+    """Normal-mean model whose simulator returns NaN for every tenth bundle.
+
+    Bundles are counted across calls, so a chain drawing one bundle per call
+    and a particle system drawing N per call both see the same pattern.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.n_bundles = 0
+
+    def simulate(self, theta, n, rng):
+        out = super().simulate(theta, n, rng)
+        bundles = out.reshape(-1, n, out.shape[-1])
+        index = self.n_bundles + np.arange(bundles.shape[0])
+        bundles[index % 10 == 9] = np.nan
+        self.n_bundles += bundles.shape[0]
+        return out

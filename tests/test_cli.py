@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import NanBundleModel
 from lfs import cli
 from lfs.output import read_samples_csv
 
@@ -136,3 +137,13 @@ def test_determinism_across_worker_counts(tmp_path, monkeypatch):
         payloads.append(((out_dir / "w.csv").read_bytes(),
                          (out_dir / "w.summary.json").read_bytes()))
     assert payloads[0] == payloads[1]
+
+
+def test_smc_non_finite_simulator_output_exits_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("lfs.config.make_model", lambda name, **hyper: NanBundleModel())
+    out = tmp_path / "smc.csv"
+    code = run_cli(["smc", "--variant", "backward", "--kernel", "uniform",
+                    "--particles", "200", "--steps", "4", "--seed", "3", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lfs.errors import ConfigurationError
-from lfs.kernels import SmoothingKernel, SummaryDistance
+from lfs.kernels import KERNEL_KINDS, SmoothingKernel, SummaryDistance
 
 
 def test_uniform_inside_support():
@@ -120,3 +123,61 @@ def test_kernel_uses_distance():
     # weighted distance of u=0.6 is 1.2 > h: outside support
     assert k.evaluate(np.array([0.6])) == 0.0
     assert SmoothingKernel("uniform", 1.0).evaluate(np.array([0.6])) == 0.5
+
+
+# -- properties of the pooled kernel (hypothesis, derandomized) ---------------
+
+_PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=150,
+                              deadline=None)
+
+
+@st.composite
+def _kernel_and_bundle(draw, s=None):
+    kind = draw(st.sampled_from(KERNEL_KINDS))
+    h = draw(st.floats(0.05, 5.0))
+    dim = draw(st.integers(1, 2))
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=3))
+    size = s if s is not None else draw(st.integers(1, 8))
+    bundle = draw(hnp.arrays(float, (*lead, size, dim),
+                             elements=st.floats(-10.0, 10.0, allow_subnormal=False)))
+    t_y = draw(hnp.arrays(float, (dim,), elements=st.floats(-3.0, 3.0)))
+    return SmoothingKernel(kind, h), t_y, bundle
+
+
+@_PROPERTY_SETTINGS
+@given(_kernel_and_bundle())
+def test_log_pooled_is_log_of_pooled(case):
+    # wherever the linear pooled value is a normal double above 1e-300 the two
+    # agree to rtol 1e-12 (atol 1e-12 for values near log 1 = 0); a compact
+    # kernel's exact zero is -inf in log space
+    kernel, t_y, bundle = case
+    log_pooled = np.asarray(kernel.log_pooled(t_y, bundle))
+    pooled = np.asarray(kernel.pooled_evaluate(t_y, bundle))
+    assert log_pooled.shape == pooled.shape == bundle.shape[:-2]
+    big = pooled > 1e-300
+    np.testing.assert_allclose(log_pooled[big], np.log(pooled[big]), rtol=1e-12, atol=1e-12)
+    if kernel.kind != "gaussian":
+        assert np.all(np.isneginf(log_pooled[pooled == 0.0]))
+
+
+@_PROPERTY_SETTINGS
+@given(_kernel_and_bundle(), st.randoms(use_true_random=False))
+def test_log_pooled_invariant_to_bundle_order(case, random):
+    # the S summaries are exchangeable: a permutation changes the summation
+    # order only, so the result moves by rounding (1e-13) at most
+    kernel, t_y, bundle = case
+    order = list(range(bundle.shape[-2]))
+    random.shuffle(order)
+    got = np.asarray(kernel.log_pooled(t_y, bundle[..., order, :]))
+    ref = np.asarray(kernel.log_pooled(t_y, bundle))
+    assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+    live = ~np.isneginf(ref)
+    np.testing.assert_allclose(got[live], ref[live], rtol=1e-13, atol=1e-13)
+
+
+@_PROPERTY_SETTINGS
+@given(_kernel_and_bundle(s=1))
+def test_log_pooled_of_one_summary_is_log_evaluate(case):
+    kernel, t_y, bundle = case
+    assert np.array_equal(np.asarray(kernel.log_pooled(t_y, bundle)),
+                          np.asarray(kernel.log_evaluate(t_y - bundle[..., 0, :])))

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import ConstantKernel
+from helpers import ConstantKernel, NanBundleModel
 from lfs.diagnostics import batch_means_se, ks_critical_value, ks_statistic
-from lfs.errors import BudgetExhaustedError, ConfigurationError
+from lfs.errors import BudgetExhaustedError, ConfigurationError, DomainError
 from lfs.kernels import SmoothingKernel
-from lfs.mcmc import (CARRIED_BUNDLE, FRESH_DENOMINATOR, ProposalSpec,
-                      acceptance_logratio, run_mcmc)
+from lfs.mcmc import CARRIED_BUNDLE, FRESH_DENOMINATOR, ProposalSpec, run_mcmc
 from lfs.models import NormalMeanModel
+from lfs.target import mh_step
 
 
 @pytest.fixture
@@ -28,32 +28,46 @@ def _flat_prior_proposal(model):
     return ProposalSpec("random-walk", 0.5)
 
 
+def _ratio(log_num_prop, log_num_curr, theta_prop, theta_curr, proposal, model, u=0.5):
+    log_q_ratio = proposal.log_q_ratio(theta_curr, theta_prop, model)
+    return mh_step(log_num_prop, log_num_curr, log_q_ratio, u)
+
+
 def test_ratio_equal_numerators_accepts(model):
     prop = _flat_prior_proposal(model)
     th = np.array([0.1])
-    assert acceptance_logratio(-1.3, -1.3, th, th, prop, model) == 0.0
+    r, accept = _ratio(-1.3, -1.3, th, th, prop, model, u=0.999)
+    assert r == 0.0
+    assert accept
 
 
 def test_ratio_half(model):
     # symmetric proposal, flat prior contribution: pooled 0.2 vs 0.4
     prop = _flat_prior_proposal(model)
-    r = acceptance_logratio(math.log(0.2), math.log(0.4), np.array([0.0]),
-                            np.array([0.0]), prop, model)
+    r, _ = _ratio(math.log(0.2), math.log(0.4), np.array([0.0]), np.array([0.0]),
+                  prop, model)
     assert math.exp(r) == pytest.approx(0.5, abs=1e-12)
+    # accepted exactly when u < 1/2
+    assert _ratio(math.log(0.2), math.log(0.4), np.array([0.0]), np.array([0.0]),
+                  prop, model, u=0.49)[1]
+    assert not _ratio(math.log(0.2), math.log(0.4), np.array([0.0]), np.array([0.0]),
+                      prop, model, u=0.51)[1]
 
 
 def test_ratio_zero_proposed_rejects(model):
     prop = _flat_prior_proposal(model)
-    r = acceptance_logratio(-np.inf, -1.0, np.array([0.0]), np.array([0.0]),
-                            prop, model)
+    r, accept = _ratio(-np.inf, -1.0, np.array([0.0]), np.array([0.0]), prop, model,
+                       u=0.0)
     assert r == -np.inf
+    assert not accept
 
 
 def test_ratio_double_neginf_rejects(model):
     prop = _flat_prior_proposal(model)
-    r = acceptance_logratio(-np.inf, -np.inf, np.array([0.0]), np.array([0.0]),
-                            prop, model)
+    r, accept = _ratio(-np.inf, -np.inf, np.array([0.0]), np.array([0.0]), prop, model,
+                       u=0.0)
     assert r == -np.inf
+    assert not accept
 
 
 def test_stationarity_at_s1(model, kernel):
@@ -92,9 +106,9 @@ def test_rejected_move_bookkeeping(model, kernel):
     n_rejected = 0
     for prev, nxt in zip(records[:-1], records[1:]):
         if not prev.accepted:
-            assert np.array_equal(nxt.theta_curr, prev.theta_curr)
-            assert np.array_equal(nxt.bundle_curr, prev.bundle_curr)
-            assert nxt.log_num_curr == prev.log_num_curr
+            assert np.array_equal(nxt.curr.theta, prev.curr.theta)
+            assert np.array_equal(nxt.curr.bundle, prev.curr.bundle)
+            assert nxt.curr.log_num == prev.curr.log_num
             n_rejected += 1
     assert n_rejected > 100  # step 3.0 rejects often enough to exercise this
 
@@ -148,3 +162,13 @@ def test_burn_in_and_thin_bookkeeping(model, kernel):
     out = run_mcmc(model, kernel, 0.0, 1, CARRIED_BUNDLE, ProposalSpec(), 100, 40,
                    seed=3, thin=10)
     assert list(out.iterations) == [41, 51, 61, 71, 81, 91]
+
+
+def test_non_finite_simulator_output_raises():
+    # without the guard a NaN summary is a silent kernel miss under the uniform
+    # kernel; the tenth bundle is drawn mid-chain, after initialization
+    kernel = SmoothingKernel("uniform", 1.0)
+    for variant in (CARRIED_BUNDLE, FRESH_DENOMINATOR):
+        with pytest.raises(DomainError, match="normal-mean.*3 non-finite summaries out of 3"):
+            run_mcmc(NanBundleModel(), kernel, 0.0, 3, variant, ProposalSpec(), 100, 0,
+                     seed=4)

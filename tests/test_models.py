@@ -6,6 +6,7 @@ from scipy import integrate, stats
 
 from lfs.errors import CapabilityError, ConfigurationError, DomainError
 from lfs.kernels import SmoothingKernel
+from lfs.mcmc import ProposalSpec
 from lfs.models import (BernoulliCountModel, NormalMeanModel, make_model,
                         oracle_density)
 from lfs.rng import substream
@@ -23,13 +24,13 @@ def bernoulli():
 
 def test_prior_sample_mean_lln(normal_mean):
     rng = substream(11, "test")
-    draws = normal_mean.prior_sample_batch(100_000, rng)
+    draws = normal_mean.prior_sample(rng, (100_000,))
     assert abs(draws.mean()) < 4.0 / math.sqrt(100_000)
 
 
 def test_bernoulli_prior_support(bernoulli):
     rng = substream(12, "test")
-    draws = bernoulli.prior_sample_batch(5000, rng)
+    draws = bernoulli.prior_sample(rng, (5000,))
     assert np.all((draws >= 0.0) & (draws <= 1.0))
 
 
@@ -49,9 +50,58 @@ def test_prior_logdensity_values(normal_mean, bernoulli):
 def test_prior_logdensity_batch_matches_scalar(normal_mean, bernoulli):
     thetas = np.array([[-1.2], [0.0], [0.4], [2.0]])
     for model in (normal_mean, bernoulli):
-        batch = model.prior_logdensity_batch(thetas)
+        batch = model.prior_logdensity(thetas)
         single = [model.prior_logdensity(t) for t in thetas]
         assert np.array_equal(batch, single)
+
+
+def test_single_theta_is_row_zero_of_a_batch_of_one(normal_mean, bernoulli):
+    # every batched operation treats a (p,) theta as the case with no leading
+    # axes: it must give bit for bit what row 0 of a (1, p) batch gives, from
+    # identical substreams
+    def same(a, b):
+        assert np.shape(a) == np.shape(b)[1:]
+        assert np.array_equal(a, b[0])
+
+    for model in (normal_mean, bernoulli):
+        single = model.prior_sample(substream(18, model.name))
+        batch = model.prior_sample(substream(18, model.name), (1,))
+        same(single, batch)
+        assert single.shape == (model.param_dim,)
+        theta, thetas = single, single[np.newaxis]
+        same(model.prior_logdensity(theta), model.prior_logdensity(thetas))
+        sim = model.simulate(theta, 7, substream(19, model.name))
+        sims = model.simulate(thetas, 7, substream(19, model.name))
+        assert sim.shape == (7, model.summary_dim)
+        same(sim, sims)
+        for kind in ("random-walk", "prior"):
+            proposal = ProposalSpec(kind).resolved(model)
+            prop = proposal.sample(theta, model, substream(20, model.name, kind))
+            props = proposal.sample(thetas, model, substream(20, model.name, kind))
+            same(prop, props)
+            same(proposal.logdensity(theta, prop, model),
+                 proposal.logdensity(thetas, props, model))
+            same(np.asarray(proposal.log_q_ratio(theta, prop, model)),
+                 np.broadcast_to(proposal.log_q_ratio(thetas, props, model), (1,)))
+
+
+def test_non_finite_theta_has_zero_prior_density(normal_mean, bernoulli):
+    for model in (normal_mean, bernoulli):
+        for bad in (np.nan, np.inf, -np.inf):
+            assert model.prior_logdensity(np.array([bad])) == -np.inf
+        lp = model.prior_logdensity(np.array([[0.5], [np.nan], [np.inf], [-np.inf]]))
+        assert lp[0] > -np.inf
+        assert np.all(lp[1:] == -np.inf)
+
+
+def test_theta_without_parameter_axis_raises(normal_mean, bernoulli):
+    rng = substream(21, "test")
+    for model in (normal_mean, bernoulli):
+        for bad in (0.5, np.array([0.1, 0.5]), np.zeros((3, 2))):
+            with pytest.raises(DomainError, match="shape"):
+                model.prior_logdensity(bad)
+            with pytest.raises(DomainError, match="shape"):
+                model.simulate(bad, 2, rng)
 
 
 def test_prior_integrates_to_one(normal_mean, bernoulli):

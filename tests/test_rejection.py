@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from helpers import ConstantKernel
+from helpers import ConstantKernel, NanBundleModel
 from lfs.diagnostics import ks_statistic, ks_critical_value
-from lfs.errors import BudgetExhaustedError, ConfigurationError
+from lfs.errors import BudgetExhaustedError, ConfigurationError, DomainError
 from lfs.kernels import SmoothingKernel
 from lfs.models import BernoulliCountModel, NormalMeanModel
 from lfs.rejection import run_rejection
@@ -106,3 +106,10 @@ def test_parameter_validation():
         run_rejection(model, kernel, 0.0, 0, 10, seed=1)
     with pytest.raises(ConfigurationError):
         run_rejection(model, kernel, 0.0, 1, 0, seed=1)
+
+
+def test_non_finite_simulator_output_raises():
+    kernel = SmoothingKernel("uniform", 1.0)
+    for workers in (1, 2):
+        with pytest.raises(DomainError, match="non-finite"):
+            run_rejection(NanBundleModel(), kernel, 0.0, 2, 100, seed=5, workers=workers)

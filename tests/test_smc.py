@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import lfs
+from helpers import NanBundleModel
 from lfs.diagnostics import ks_2sample_permutation, weighted_moments
-from lfs.errors import ConfigurationError, ParticleCollapseError
+from lfs.errors import ConfigurationError, DomainError, ParticleCollapseError
 from lfs.kernels import SmoothingKernel
 from lfs.mcmc import ProposalSpec
 from lfs.models import CountingModel, NormalMeanModel
@@ -20,6 +21,7 @@ from lfs.smc import (BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule,
                      incremental_weight_backward, incremental_weight_joint,
                      incremental_weight_joint_general, mixture_logdensity,
                      normalize_log_weights, run_smc, systematic_indices)
+from lfs.target import joint_logdensity_unnorm
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -28,7 +30,7 @@ def _dense_mixture_logdensity(prev_thetas, prev_log_weights, new_thetas, mutatio
     """The original (N_prev, M, d) broadcast implementation, kept as the reference."""
     new_thetas = np.atleast_2d(np.asarray(new_thetas, dtype=float))
     if mutation.kind == "prior":
-        return model.prior_logdensity_batch(new_thetas)
+        return model.prior_logdensity(new_thetas)
     prev_thetas = np.atleast_2d(np.asarray(prev_thetas, dtype=float))
     step = mutation.step_sd if mutation.step_sd is not None else model.prior_sd() / 2.0
     z = (new_thetas[np.newaxis, :, :] - prev_thetas[:, np.newaxis, :]) / step
@@ -255,7 +257,7 @@ def test_mixture_prior_mutation(model):
     mutation = ProposalSpec("prior")
     new = np.array([[0.3], [5.0]])
     got = mixture_logdensity(np.array([[0.0]]), np.array([0.0]), new, mutation, model)
-    expected = model.prior_logdensity_batch(new)
+    expected = model.prior_logdensity(new)
     assert np.array_equal(got, expected)
 
 
@@ -361,7 +363,7 @@ def test_backward_simulator_call_counts(model, kernel):
 def test_bandwidth_tightening_shrinks_support_sets(model):
     kernel = SmoothingKernel("uniform", 1.0)
     rng = substream(11, "fixed")
-    bundles = model.simulate_batch(model.prior_sample_batch(400, rng), 2, rng)
+    bundles = model.simulate(model.prior_sample(rng, (400,)), 2, rng)
     alive_prev = None
     for h in (2.0, 1.4, 0.9, 0.5, 0.2):
         log_pooled = kernel.with_bandwidth(h).log_pooled(0.0, bundles)
@@ -386,20 +388,23 @@ def test_normalize_log_weights_nan_raises():
     assert err.value.step == 4
 
 
-class _NanBundleModel(NormalMeanModel):
-    """Normal-mean model whose simulator returns NaN for every tenth bundle."""
-
-    def simulate_batch(self, thetas, n, rng):
-        out = super().simulate_batch(thetas, n, rng)
-        out[::10] = np.nan
-        return out
-
-
 def test_nan_simulator_output_raises_instead_of_nan_weights(kernel):
     schedule = BandwidthSchedule.geometric(2.0, 0.5, 4)
     for variant in (BACKWARD_KERNEL, JOINT_MCMC_MOVE):
-        with pytest.raises(ParticleCollapseError):
-            run_smc(_NanBundleModel(), kernel, schedule, 2, 100, variant, ProposalSpec(),
+        with pytest.raises(DomainError, match="non-finite"):
+            run_smc(NanBundleModel(), kernel, schedule, 2, 100, variant, ProposalSpec(),
+                    seed=14, t_y=0.0)
+
+
+def test_nan_simulator_output_raises_under_a_compact_kernel():
+    # the uniform kernel maps a NaN summary to a kernel miss (|d| <= h is
+    # False), so without a check at the simulator the run finishes with
+    # finite weights computed against a different target
+    kernel = SmoothingKernel("uniform", 1.0)
+    schedule = BandwidthSchedule.geometric(2.0, 0.5, 4)
+    for variant in (BACKWARD_KERNEL, JOINT_MCMC_MOVE):
+        with pytest.raises(DomainError, match="10 non-finite summaries out of 100"):
+            run_smc(NanBundleModel(), kernel, schedule, 1, 100, variant, ProposalSpec(),
                     seed=14, t_y=0.0)
 
 
@@ -419,16 +424,17 @@ def test_particle_system_views_and_resample(model, kernel):
     from lfs.smc import ParticleSystem, resample_systematic
 
     rng = substream(20, "sys")
-    thetas = model.prior_sample_batch(6, rng)
-    bundles = model.simulate_batch(thetas, 2, rng)
+    thetas = model.prior_sample(rng, (6,))
+    bundles = model.simulate(thetas, 2, rng)
     log_pooled = np.asarray(kernel.log_pooled(0.0, bundles))
-    log_prior = model.prior_logdensity_batch(thetas)
+    log_prior = model.prior_logdensity(thetas)
     log_w = np.log(np.array([0.4, 0.3, 0.1, 0.1, 0.05, 0.05]))
     system = ParticleSystem(thetas, bundles, log_w, log_pooled, log_prior,
                             k=1, schedule=BandwidthSchedule.explicit([1.0]))
-    parts = system.particles()
-    assert len(parts) == 6
-    assert parts[2].log_num == pytest.approx(log_pooled[2] + log_prior[2])
+    assert system.n == 6
+    # the cached values are the target's log_num of each particle
+    assert system.log_pooled[2] + system.log_prior[2] == pytest.approx(
+        joint_logdensity_unnorm(system.thetas[2], system.bundles[2], 0.0, kernel, model))
     assert 1.0 <= system.ess <= 6.0
     resample_systematic(system, substream(21, "sys"))
     assert np.allclose(system.normalized_weights(), 1.0 / 6.0)

@@ -9,7 +9,7 @@ from lfs.kernels import SmoothingKernel
 from lfs.models import BernoulliCountModel, NormalMeanModel
 from lfs.rng import substream
 from lfs.target import (AugmentedState, joint_logdensity_unnorm,
-                        marginal_logestimate)
+                        marginal_logestimate, simulate_checked)
 
 
 @pytest.fixture
@@ -131,3 +131,42 @@ def test_marginalization_identity_discrete():
             float(model.smoothed_loglik(np.array([theta]), t_y, kernel)[0])
             + model.prior_logdensity([theta]))
         assert joint_sum == pytest.approx(marginal, rel=1e-10)
+
+
+class _ShapeModel(NormalMeanModel):
+    """Simulator returning a fixed array, whatever theta and n are."""
+
+    def __init__(self, out):
+        super().__init__()
+        self.out = out
+
+    def simulate(self, theta, n, rng):
+        return self.out
+
+
+def test_simulate_checked_passes_good_output_through(model):
+    thetas = np.array([[0.1], [0.2], [0.3]])
+    got = simulate_checked(model, thetas, 4, substream(9, "t"))
+    assert np.array_equal(got, model.simulate(thetas, 4, substream(9, "t")))
+
+
+def test_simulate_checked_rejects_mis_shaped_output():
+    bad_shapes = (np.zeros((4,)), np.zeros((3, 1)), np.zeros((4, 2)), np.zeros((1, 4, 1)))
+    for out in bad_shapes:
+        with pytest.raises(DomainError, match="normal-mean.*shape"):
+            simulate_checked(_ShapeModel(out), np.array([0.0]), 4, substream(1, "t"))
+    with pytest.raises(DomainError, match="shape"):
+        simulate_checked(_ShapeModel(np.zeros((4, 1))), np.zeros((2, 1)), 4,
+                         substream(1, "t"))
+
+
+def test_simulate_checked_counts_non_finite_summaries():
+    out = np.zeros((2, 3, 1))
+    out[0, 1, 0] = np.nan
+    out[1, 2, 0] = np.inf
+    with pytest.raises(DomainError, match="normal-mean.*2 non-finite summaries out of 6"):
+        simulate_checked(_ShapeModel(out), np.zeros((2, 1)), 3, substream(1, "t"))
+    out = np.zeros((3, 1))
+    out[0, 0] = -np.inf
+    with pytest.raises(DomainError, match="1 non-finite summaries out of 3"):
+        simulate_checked(_ShapeModel(out), np.zeros(1), 3, substream(1, "t"))
