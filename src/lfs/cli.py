@@ -10,6 +10,7 @@ particle collapse); 2 configuration error; 3 proposal budget exhaustion.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -150,7 +151,7 @@ def cmd_reject(args):
     if cfg.rejection.emit_bundles:
         S, dim = out.bundles.shape[1], out.bundles.shape[2]
         bcols = [f"t{s}_{j}" for s in range(S) for j in range(dim)]
-        write_samples_csv(path.replace(".csv", "") + ".bundles.csv", bcols,
+        write_samples_csv(os.path.splitext(path)[0] + ".bundles.csv", bcols,
                           out.bundles.reshape(out.bundles.shape[0], -1), config_text)
     summary = {
         "command": "reject",

@@ -24,17 +24,13 @@ from .rejection import run_rejection
 from .rng import derive_seed, substream
 from .smc import (BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule,
                   incremental_weight_joint_general, run_smc)
-from .target import joint_logdensity_unnorm, mh_step
+from .target import joint_logdensity_unnorm, log_quotient, mh_step
 
 
-def _ratio_or_neginf(num, den):
-    if num == -np.inf and den == -np.inf:
-        return -np.inf
-    return num - den
-
-
-def _discrepancy(a, b):
-    return 0.0 if a == b else abs(a - b)
+def _max_discrepancy(a, b):
+    """Largest |a - b| over the entries; equal values, infinities included, give 0."""
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.where(a == b, 0.0, np.abs(np.subtract(a, b))), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +65,10 @@ def dual_bookkeeping_mcmc(config, seed=None):
         num_prop = joint_logdensity_unnorm(prop.theta, prop.bundle, t_y, kernel, model)
         num_curr = joint_logdensity_unnorm(curr.theta, curr.bundle, t_y, kernel, model)
         ratio_joint = float(mh_step(num_prop, num_curr, log_q_ratio, rec.u)[0])
-        d = _discrepancy(ratio_marginal, ratio_joint)
+        d = _max_discrepancy(ratio_marginal, ratio_joint)
         if d > worst["value"]:
             worst.update(value=d, iteration=rec.iteration)
-        p = _discrepancy(ratio_marginal, rec.log_ratio)
+        p = _max_discrepancy(ratio_marginal, rec.log_ratio)
         if p > mismatch_with_production["value"]:
             mismatch_with_production.update(value=p, iteration=rec.iteration)
 
@@ -88,7 +84,8 @@ def dual_bookkeeping_mcmc(config, seed=None):
 
 def dual_bookkeeping_smc(config, seed=None):
     """Joint-move SMC run assembling each mutation move's incremental weight
-    both ways (marginal-estimate grouping vs factorized-joint grouping)."""
+    both ways (marginal-estimate grouping vs factorized-joint grouping), one
+    step's moves at a time."""
     model = config.build_model()
     kernel = config.build_kernel()
     mutation = config.build_mutation().resolved(model)
@@ -102,24 +99,24 @@ def dual_bookkeeping_smc(config, seed=None):
     count = {"n": 0}
 
     def check(rec):
-        count["n"] += 1
+        count["n"] += rec.index.size
         kern_new = kernel.with_bandwidth(rec.h_new)
         kern_prev = kernel.with_bandwidth(rec.h_prev)
-        log_m = float(mutation.logdensity(rec.theta_curr, rec.theta_prop, model))
-        log_l = float(mutation.logdensity(rec.theta_prop, rec.theta_curr, model))
+        log_m = mutation.logdensity(rec.theta_curr, rec.theta_prop, model)
+        log_l = mutation.logdensity(rec.theta_prop, rec.theta_curr, model)
         # marginal bookkeeping: estimates of the two smoothed marginals
         lhat_new = joint_logdensity_unnorm(rec.theta_prop, rec.bundle_prop,
                                            t_y, kern_new, model)
         lhat_prev = joint_logdensity_unnorm(rec.theta_curr, rec.bundle_curr,
                                             t_y, kern_prev, model)
-        w_marginal = _ratio_or_neginf(lhat_new + log_l, lhat_prev + log_m)
+        w_marginal = log_quotient(lhat_new + log_l, lhat_prev + log_m)
         # joint bookkeeping: pooled kernel and prior assembled separately
         w_joint = incremental_weight_joint_general(
-            float(kern_new.log_pooled(t_y, rec.bundle_prop)),
-            float(model.prior_logdensity(rec.theta_prop)), log_l,
-            float(kern_prev.log_pooled(t_y, rec.bundle_curr)),
-            float(model.prior_logdensity(rec.theta_curr)), log_m)
-        d = _discrepancy(w_marginal, w_joint)
+            kern_new.log_pooled(t_y, rec.bundle_prop),
+            model.prior_logdensity(rec.theta_prop), log_l,
+            kern_prev.log_pooled(t_y, rec.bundle_curr),
+            model.prior_logdensity(rec.theta_curr), log_m)
+        d = _max_discrepancy(w_marginal, w_joint)
         if d > worst["value"]:
             worst.update(value=d, step=rec.step)
 

@@ -56,9 +56,6 @@ class SummaryDistance:
             return np.sqrt(np.sum(u * u, axis=-1))
         return np.sqrt(np.sum(self.weights * u * u, axis=-1))
 
-    def between(self, a, b):
-        return self.of_difference(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-
     def __eq__(self, other):
         if not isinstance(other, SummaryDistance):
             return NotImplemented

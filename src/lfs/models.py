@@ -86,13 +86,6 @@ def _as_theta(theta, param_dim):
     return th
 
 
-def _scalar_theta(theta):
-    th = np.asarray(theta, dtype=float)
-    if th.size != 1:
-        raise DomainError(f"expected a 1-D parameter, got shape {th.shape}")
-    return float(th.reshape(()))
-
-
 class NormalMeanModel(Model):
     """Normal location model: theta ~ N(mu0, sigma0^2), t | theta ~ N(theta, tau^2)."""
 
@@ -269,29 +262,6 @@ def _grid_oracle(unnorm, lo, hi, n_grid=50_001):
         return np.interp(th, grid, cum, left=0.0, right=1.0)
 
     return AnalyticOracle(density, cdf, mean, var)
-
-
-def oracle_density(model, theta, t_y, kernel):
-    """Normalized smoothed-posterior density at theta, from the model's oracle."""
-    return float(model.oracle(t_y, kernel).posterior_density(_scalar_theta(theta)))
-
-
-class CountingModel:
-    """Delegating wrapper that counts bundles simulated (one per theta row) and summaries."""
-
-    def __init__(self, model):
-        self._model = model
-        self.n_calls = 0
-        self.n_summaries = 0
-
-    def simulate(self, theta, n, rng):
-        rows = math.prod(np.shape(theta)[:-1])
-        self.n_calls += rows
-        self.n_summaries += rows * n
-        return self._model.simulate(theta, n, rng)
-
-    def __getattr__(self, item):
-        return getattr(self._model, item)
 
 
 MODEL_NAMES = ("normal-mean", "bernoulli-count")

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigurationError, ParticleCollapseError
 from .kernels import _LOG_SQRT_2PI
 from .rng import substream
-from .target import mh_step, simulate_checked
+from .target import log_quotient, mh_step, simulate_checked
 
 JOINT_MCMC_MOVE = "joint-move"
 BACKWARD_KERNEL = "backward"
@@ -96,21 +96,20 @@ class SmcVariantSpec:
 
 @dataclass
 class MutationRecord:
-    """Realized mutation move, for instrumentation of the weight bookkeepings."""
+    """One step's realized mutation moves, for instrumentation of the weight
+    bookkeepings.  Row i is particle ``index[i]``; rows are the particles whose
+    proposal lies in the prior's support."""
 
     step: int
-    index: int
     h_new: float
     h_prev: float
-    theta_curr: np.ndarray
-    bundle_curr: np.ndarray
-    log_pooled_curr_new: float     # pooled kernel of the pre-move bundle at h_new
-    log_pooled_curr_prev: float    # ... and at h_prev
+    index: np.ndarray              # (M,)
+    theta_curr: np.ndarray         # (M, param_dim), before the move
+    bundle_curr: np.ndarray        # (M, S, summary_dim)
     theta_prop: np.ndarray
     bundle_prop: np.ndarray
-    log_pooled_prop_new: float
-    log_ratio: float
-    accepted: bool
+    log_ratio: np.ndarray          # (M,)
+    accepted: np.ndarray           # (M,) bool
 
 
 @dataclass
@@ -157,20 +156,16 @@ def systematic_indices(weights, rng):
     return np.searchsorted(cum, positions)
 
 
-def incremental_weight_joint(bundle, h_new, h_prev, kernel, t_y):
+def incremental_weight_joint(log_pooled_new, log_pooled_prev):
     """Reduced joint-space incremental weight: pooled-kernel ratio on the pre-move bundle.
 
     With a mutation kernel invariant for the new distribution and its
     time-reversal as backward kernel, everything else in the general form
-    cancels and the weight is the bandwidth-tightening factor alone,
-    evaluated before the move.  -inf when the tightened kernel kills the
-    particle.
+    cancels and the weight is the bandwidth-tightening factor alone, from the
+    pre-move bundles' log pooled kernel at the new and the previous bandwidth,
+    vectorized over particles.  -inf when the tightened kernel kills the particle.
     """
-    log_new = float(kernel.with_bandwidth(h_new).log_pooled(t_y, bundle))
-    if log_new == -np.inf:
-        return -np.inf
-    log_prev = float(kernel.with_bandwidth(h_prev).log_pooled(t_y, bundle))
-    return log_new - log_prev
+    return log_quotient(log_pooled_new, log_pooled_prev)
 
 
 def incremental_weight_joint_general(log_pooled_new, log_prior_new, log_backward,
@@ -183,12 +178,11 @@ def incremental_weight_joint_general(log_pooled_new, log_prior_new, log_backward
     This single expression is what both the marginal-estimate bookkeeping and
     the joint-density bookkeeping assemble; the simulator factors cancel
     between target and factorized mutation kernel and never appear.
+    Vectorized over particles.
     """
     num = (log_pooled_new + log_prior_new) + log_backward
     den = (log_pooled_prev + log_prior_prev) + log_forward
-    if num == -np.inf and den == -np.inf:
-        return -np.inf
-    return num - den
+    return log_quotient(num, den)
 
 
 def mixture_logdensity(prev_thetas, prev_log_weights, new_thetas, mutation, model):
@@ -245,37 +239,31 @@ def mixture_logdensity(prev_thetas, prev_log_weights, new_thetas, mutation, mode
     return out - (np.sum(np.log(step)) + d * _LOG_SQRT_2PI)
 
 
-def incremental_weight_backward(theta_new, log_num_new, prev_thetas, prev_weights,
+def incremental_weight_backward(new_thetas, log_num_new, prev_thetas, prev_log_weights,
                                 mutation, model):
-    """Backward-kernel (mixture-denominator) incremental weight, log scale.
+    """Backward-kernel (mixture-denominator) incremental weights, log scale.
 
-    ``log_num_new`` is the fresh marginal estimate at theta_new (its bundle's
-    pooled kernel times the prior).  The denominator is the weighted mutation
-    mixture over the previous population — no simulator call and no estimate
+    ``log_num_new`` (M,) holds the fresh marginal estimates at new_thetas
+    (M, param_dim).  The denominator is the mutation mixture over the previous
+    population with normalized log weights — no simulator call and no estimate
     of the previous step's marginal is involved.
     """
-    if log_num_new == -np.inf:
-        return -np.inf
-    prev_weights = np.asarray(prev_weights, dtype=float)
-    with np.errstate(divide="ignore"):
-        prev_logw = np.log(prev_weights)
-    mix = float(mixture_logdensity(prev_thetas, prev_logw, theta_new, mutation, model)[0])
-    if mix == -np.inf:
+    log_mix = mixture_logdensity(prev_thetas, prev_log_weights, new_thetas, mutation, model)
+    if np.any((log_mix == -np.inf) & (log_num_new > -np.inf)):
         raise ParticleCollapseError("mutation mixture vanished: every previous weight is zero")
-    return log_num_new - mix
+    return log_quotient(log_num_new, log_mix)
 
 
 class ParticleSystem:
     """Weighted particle population with its bandwidth-schedule position."""
 
-    def __init__(self, thetas, bundles, log_weights, log_pooled, log_prior, k, schedule):
+    def __init__(self, thetas, bundles, log_weights, log_pooled, log_prior, k):
         self.thetas = thetas
         self.bundles = bundles
         self.log_weights = log_weights
         self.log_pooled = log_pooled
         self.log_prior = log_prior
         self.k = k
-        self.schedule = schedule
 
     @property
     def n(self):
@@ -294,13 +282,6 @@ class ParticleSystem:
         self.log_pooled = self.log_pooled[indices]
         self.log_prior = self.log_prior[indices]
         self.log_weights = np.full(self.n, -math.log(self.n))
-
-
-def resample_systematic(system, rng):
-    """Replace the population by N systematic offspring with uniform weights."""
-    weights = system.normalized_weights()
-    system.resample(systematic_indices(weights, rng))
-    return system
 
 
 def apply_particle_rejection(weights, threshold, rng):
@@ -353,8 +334,7 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
     bundles = simulate_checked(model, thetas, S, rng_init)
     log_pooled = kernel.with_bandwidth(hs[0]).log_pooled(t_y, bundles)
     log_prior = model.prior_logdensity(thetas)
-    system = ParticleSystem(thetas, bundles, log_pooled.copy(), log_pooled, log_prior,
-                            k=1, schedule=schedule)
+    system = ParticleSystem(thetas, bundles, log_pooled.copy(), log_pooled, log_prior, k=1)
 
     norm_w = system.normalized_weights()
     ess_trace = [ess(norm_w)]
@@ -391,19 +371,15 @@ def _joint_move_step(model, kern_new, t_y, S, seed, system, mutation,
                      acceptance_trace, on_mutation):
     n = system.n
     # reweight with the bandwidth-tightening factor on the pre-move bundles
-    log_pooled_prev = system.log_pooled
     log_pooled_new = kern_new.log_pooled(t_y, system.bundles)
-    with np.errstate(invalid="ignore"):
-        system.log_weights = np.where(
-            np.isneginf(log_pooled_new), -np.inf,
-            system.log_weights + (log_pooled_new - log_pooled_prev))
+    system.log_weights = system.log_weights + incremental_weight_joint(log_pooled_new,
+                                                                       system.log_pooled)
     system.log_pooled = log_pooled_new
     norm_w = system.normalized_weights()
 
     if ess(norm_w) < ess_threshold * n:
         idx = systematic_indices(norm_w, substream(seed, "smc", "step", k, "resample"))
         system.resample(idx)
-        log_pooled_prev = log_pooled_prev[idx]  # keep h_prev values aligned for records
         norm_w = np.full(n, 1.0 / n)
         resampled_steps.append(k)
 
@@ -422,17 +398,11 @@ def _joint_move_step(model, kern_new, t_y, S, seed, system, mutation,
     accept &= in_support
 
     if on_mutation is not None:
-        for i in range(n):
-            if not in_support[i]:
-                continue
-            on_mutation(MutationRecord(
-                step=k, index=i, h_new=h_new, h_prev=h_prev,
-                theta_curr=system.thetas[i].copy(), bundle_curr=system.bundles[i].copy(),
-                log_pooled_curr_new=float(system.log_pooled[i]),
-                log_pooled_curr_prev=float(log_pooled_prev[i]),
-                theta_prop=theta_prop[i].copy(), bundle_prop=bundles_prop[i].copy(),
-                log_pooled_prop_new=float(log_pooled_prop[i]),
-                log_ratio=float(log_ratio[i]), accepted=bool(accept[i])))
+        on_mutation(MutationRecord(
+            step=k, h_new=h_new, h_prev=h_prev, index=np.flatnonzero(in_support),
+            theta_curr=system.thetas[in_support], bundle_curr=system.bundles[in_support],
+            theta_prop=theta_prop[in_support], bundle_prop=bundles_prop[in_support],
+            log_ratio=log_ratio[in_support], accepted=accept[in_support]))
 
     system.thetas[accept] = theta_prop[accept]
     system.bundles[accept] = bundles_prop[accept]
@@ -462,10 +432,8 @@ def _backward_step(model, kern_new, t_y, S, seed, system, norm_w, mutation,
     system.bundles[in_support] = simulate_checked(model, new_thetas[in_support], S, rng)
     log_pooled_new = np.where(in_support, kern_new.log_pooled(t_y, system.bundles), -np.inf)
 
-    log_num_new = log_pooled_new + log_prior_new
-    log_mix = mixture_logdensity(prev_thetas, prev_logw, new_thetas, mutation, model)
-    with np.errstate(invalid="ignore"):
-        incr = np.where(np.isneginf(log_num_new), -np.inf, log_num_new - log_mix)
+    incr = incremental_weight_backward(new_thetas, log_pooled_new + log_prior_new,
+                                       prev_thetas, prev_logw, mutation, model)
     system.thetas = new_thetas
     system.log_prior = log_prior_new
     system.log_pooled = log_pooled_new

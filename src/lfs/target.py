@@ -58,8 +58,14 @@ def simulate_checked(model, theta, S, rng):
 
 
 def joint_logdensity_unnorm(theta, bundle, t_y, kernel, model):
-    """log[pooled kernel x prior] at (theta, bundle); -inf signals zero mass."""
-    return float(kernel.log_pooled(t_y, bundle)) + float(model.prior_logdensity(theta))
+    """log[pooled kernel x prior] at theta (..., p), bundle (..., S, d); -inf is zero mass."""
+    return kernel.log_pooled(t_y, bundle) + model.prior_logdensity(theta)
+
+
+def log_quotient(log_num, log_den):
+    """log(num / den) from the two logs, vectorized; two -inf values give -inf."""
+    both_dead = (log_num == -np.inf) & (log_den == -np.inf)
+    return log_num - np.where(both_dead, 0.0, log_den)
 
 
 def mh_step(log_num_prop, log_num_curr, log_q_ratio, u):
@@ -71,11 +77,9 @@ def mh_step(log_num_prop, log_num_curr, log_q_ratio, u):
     estimate and joint density) share this one implementation.  It draws no
     randomness.  Two -inf values give -inf: the move is rejected.
     """
-    both_dead = (log_num_prop == -np.inf) & (log_num_curr == -np.inf)
-    with np.errstate(invalid="ignore", over="ignore"):
-        log_ratio = np.where(both_dead, -np.inf, (log_num_prop - log_num_curr) + log_q_ratio)
-        accept = (log_ratio >= 0.0) | (u < np.exp(log_ratio))
-    return log_ratio, accept
+    log_ratio = log_quotient(log_num_prop, log_num_curr) + log_q_ratio
+    # u < 1, so a ratio at or above 1 always accepts; the clip keeps exp finite
+    return log_ratio, u < np.exp(np.minimum(log_ratio, 0.0))
 
 
 def marginal_logestimate(theta, S, t_y, kernel, model, rng):
@@ -84,9 +88,11 @@ def marginal_logestimate(theta, S, t_y, kernel, model, rng):
     Simulates a fresh bundle of S summaries at theta and returns
     ``(log estimate, bundle)``; the bundle is returned so samplers can keep it
     as state.  The estimate is unbiased for every S >= 1; its variance falls
-    as S grows.
+    as S grows.  Vectorized: theta (..., p) gives estimates (...) and bundles
+    (..., S, d), and any row outside the prior's support raises ``DomainError``.
     """
-    if model.prior_logdensity(theta) == -np.inf:
-        raise DomainError(f"theta={np.asarray(theta)} outside the prior's support")
+    outside = np.count_nonzero(model.prior_logdensity(theta) == -np.inf)
+    if outside:
+        raise DomainError(f"{outside} theta row(s) outside the prior's support")
     bundle = simulate_checked(model, theta, S, rng)
     return joint_logdensity_unnorm(theta, bundle, t_y, kernel, model), bundle

@@ -19,8 +19,11 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
+
+from lfs import cli
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "digests.json")
 
@@ -98,8 +101,6 @@ CASES = [
 
 def run_case(argv, work_dir):
     """Run one case under ``work_dir``; returns (exit code, {file name: sha256})."""
-    from lfs import cli
-
     config_dir = os.path.join(work_dir, "configs")
     out_dir = os.path.join(work_dir, "out")
     os.makedirs(config_dir)
@@ -125,8 +126,6 @@ def run_case(argv, work_dir):
 
 
 def main():
-    import tempfile
-
     table = {"numpy": np.__version__, "cases": []}
     with tempfile.TemporaryDirectory() as tmp:
         for i, argv in enumerate(CASES):

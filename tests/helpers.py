@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from lfs.models import NormalMeanModel
@@ -28,6 +30,24 @@ class ConstantKernel:
 
     def with_bandwidth(self, h):
         return self
+
+
+class CountingModel:
+    """Delegating wrapper that counts bundles simulated (one per theta row) and summaries."""
+
+    def __init__(self, model):
+        self._model = model
+        self.n_calls = 0
+        self.n_summaries = 0
+
+    def simulate(self, theta, n, rng):
+        rows = math.prod(np.shape(theta)[:-1])
+        self.n_calls += rows
+        self.n_summaries += rows * n
+        return self._model.simulate(theta, n, rng)
+
+    def __getattr__(self, item):
+        return getattr(self._model, item)
 
 
 class NanBundleModel(NormalMeanModel):

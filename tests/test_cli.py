@@ -27,13 +27,15 @@ def test_reject_writes_csv_and_summary(tmp_path):
 
 
 def test_reject_emit_bundles(tmp_path):
-    out = tmp_path / "s.csv"
-    code = run_cli(["reject", "--n-accept", "50", "--seed", "1", "--s", "3",
-                    "--emit-bundles", "--out", str(out)])
-    assert code == 0
-    _, header, data = read_samples_csv(tmp_path / "s.bundles.csv")
-    assert header == ["t0_0", "t1_0", "t2_0"]
-    assert data.shape == (50, 3)
+    # the sidecar sits next to the samples, also in a directory named like a CSV
+    for out_dir in (tmp_path, tmp_path / "x.csv.d"):
+        out_dir.mkdir(exist_ok=True)
+        code = run_cli(["reject", "--n-accept", "50", "--seed", "1", "--s", "3",
+                        "--emit-bundles", "--out", str(out_dir / "s.csv")])
+        assert code == 0
+        _, header, data = read_samples_csv(out_dir / "s.bundles.csv")
+        assert header == ["t0_0", "t1_0", "t2_0"]
+        assert data.shape == (50, 3)
 
 
 def test_mcmc_csv_columns(tmp_path):

@@ -110,8 +110,9 @@ def test_log_pooled_matches_linear():
 def test_weighted_euclidean_distance():
     d = SummaryDistance("weighted-euclidean", weights=[4.0, 1.0])
     assert d.of_difference(np.array([1.0, 0.0])) == pytest.approx(2.0)
-    assert d.between(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
-    assert d.between([0.0, 1.0], [0.0, 0.0]) == d.between([0.0, 0.0], [0.0, 1.0])
+    assert d.of_difference(np.array([1.0, 2.0]) - np.array([1.0, 2.0])) == 0.0
+    assert (d.of_difference(np.array([0.0, 1.0]) - np.array([0.0, 0.0]))
+            == d.of_difference(np.array([0.0, 0.0]) - np.array([0.0, 1.0])))
     with pytest.raises(ConfigurationError):
         SummaryDistance("weighted-euclidean")
     with pytest.raises(ConfigurationError):

@@ -7,8 +7,7 @@ from scipy import integrate, stats
 from lfs.errors import CapabilityError, ConfigurationError, DomainError
 from lfs.kernels import SmoothingKernel
 from lfs.mcmc import ProposalSpec
-from lfs.models import (BernoulliCountModel, NormalMeanModel, make_model,
-                        oracle_density)
+from lfs.models import BernoulliCountModel, NormalMeanModel, make_model
 from lfs.rng import substream
 
 
@@ -148,9 +147,9 @@ def test_conjugate_oracle_density_value(normal_mean):
     kernel = SmoothingKernel("gaussian", 1.0)
     # smoothing inflates the likelihood variance to tau^2 + h^2 = 2,
     # so the posterior is Normal(0, 2/3)
-    val = oracle_density(normal_mean, [0.0], 0.0, kernel)
-    assert val == pytest.approx(0.48860251190292, abs=1e-10)
     oracle = normal_mean.oracle(0.0, kernel)
+    val = oracle.posterior_density(0.0)
+    assert val == pytest.approx(0.48860251190292, abs=1e-10)
     assert oracle.posterior_variance == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert oracle.posterior_mean == pytest.approx(0.0, abs=1e-12)
 
@@ -240,3 +239,18 @@ def test_make_model_registry():
     assert b.trials == 10
     with pytest.raises(ConfigurationError):
         make_model("unknown-model")
+
+
+# -- package namespace -------------------------------------------------------
+
+
+def test_public_names_resolve_and_test_only_names_are_gone():
+    import lfs
+
+    for name in lfs.__all__:
+        assert getattr(lfs, name) is not None, name
+    test_only = ("CountingModel", "oracle_density", "resample_systematic")
+    assert not set(test_only) & set(lfs.__all__)
+    for name in test_only:
+        assert not hasattr(lfs, name), name
+    assert not hasattr(lfs.SummaryDistance, "between")

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 import lfs
-from helpers import NanBundleModel
+from helpers import CountingModel, NanBundleModel
 from lfs.diagnostics import ks_2sample_permutation, weighted_moments
 from lfs.errors import ConfigurationError, DomainError, ParticleCollapseError
 from lfs.kernels import SmoothingKernel
 from lfs.mcmc import ProposalSpec
-from lfs.models import CountingModel, NormalMeanModel
+from lfs.models import NormalMeanModel
 from lfs.rejection import run_rejection
 from lfs.rng import substream
 from lfs.smc import (BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule,
@@ -120,63 +120,100 @@ def test_systematic_unbiased_offspring_counts():
 # -- incremental weights ------------------------------------------------------
 
 
+def _joint_weight(kernel, bundles, h_new, h_prev):
+    return incremental_weight_joint(kernel.with_bandwidth(h_new).log_pooled(0.0, bundles),
+                                    kernel.with_bandwidth(h_prev).log_pooled(0.0, bundles))
+
+
 def test_joint_weight_zero_when_bandwidth_unchanged(kernel):
     bundle = np.array([[0.3], [1.1]])
-    assert incremental_weight_joint(bundle, 0.8, 0.8, kernel, 0.0) == 0.0
+    assert _joint_weight(kernel, bundle, 0.8, 0.8) == 0.0
 
 
 def test_joint_weight_uniform_rescaling():
     kernel = SmoothingKernel("uniform", 1.0)
     bundle = np.array([[0.1], [-0.2]])  # inside both supports
-    w = incremental_weight_joint(bundle, 0.5, 1.0, kernel, 0.0)
+    w = _joint_weight(kernel, bundle, 0.5, 1.0)
     assert w == pytest.approx(math.log(1.0 / 0.5), abs=1e-12)
 
 
 def test_joint_weight_killed_by_tightening():
     kernel = SmoothingKernel("uniform", 1.0)
     bundle = np.array([[0.8], [0.9]])  # in (0.5, 1.0]
-    assert incremental_weight_joint(bundle, 0.5, 1.0, kernel, 0.0) == -np.inf
+    assert _joint_weight(kernel, bundle, 0.5, 1.0) == -np.inf
+
+
+def test_joint_weight_vectorized_over_particles():
+    # the three cases above as one batch of particles, plus one dead at both
+    # bandwidths, give the same weights row by row
+    kernel = SmoothingKernel("uniform", 1.0)
+    bundles = np.array([[[0.1], [-0.2]], [[0.8], [0.9]], [[3.0], [4.0]]])
+    w = _joint_weight(kernel, bundles, 0.5, 1.0)
+    assert w[0] == pytest.approx(math.log(1.0 / 0.5), abs=1e-12)
+    assert w[1] == -np.inf and w[2] == -np.inf
 
 
 def test_joint_general_double_neginf():
     assert incremental_weight_joint_general(-np.inf, 0.0, 0.0, -np.inf, 0.0, 0.0) == -np.inf
     got = incremental_weight_joint_general(-1.0, -2.0, -0.5, -1.5, -2.5, -0.25)
     assert got == pytest.approx(((-1.0 + -2.0) + -0.5) - ((-1.5 + -2.5) + -0.25))
+    batch = incremental_weight_joint_general(
+        np.array([-np.inf, -1.0]), np.array([0.0, -2.0]), np.array([0.0, -0.5]),
+        np.array([-np.inf, -1.5]), np.array([0.0, -2.5]), np.array([0.0, -0.25]))
+    assert batch[0] == -np.inf and batch[1] == got
 
 
 def test_backward_weight_single_parent(model):
     mutation = ProposalSpec("random-walk", 0.5)
-    theta_new = np.array([0.4])
+    theta_new = np.array([[0.4]])
     prev = np.array([[0.1]])
-    m = mutation.logdensity(prev[0], theta_new, model)
+    m = mutation.logdensity(prev[0], theta_new[0], model)
     p = -1.7
-    w = incremental_weight_backward(theta_new, p, prev, np.array([1.0]), mutation, model)
-    assert w == pytest.approx(p - m, abs=1e-12)
+    w = incremental_weight_backward(theta_new, np.array([p]), prev, np.log([1.0]),
+                                    mutation, model)
+    assert w.shape == (1,)
+    assert w[0] == pytest.approx(p - m, abs=1e-12)
 
 
 def test_backward_weight_two_parent_mixture(model):
     mutation = ProposalSpec("random-walk", 0.7)
-    theta_new = np.array([0.0])
+    theta_new = np.array([[0.0]])
     prev = np.array([[-0.3], [0.5]])
-    m1 = math.exp(mutation.logdensity(prev[0], theta_new, model))
-    m2 = math.exp(mutation.logdensity(prev[1], theta_new, model))
+    m1 = math.exp(mutation.logdensity(prev[0], theta_new[0], model))
+    m2 = math.exp(mutation.logdensity(prev[1], theta_new[0], model))
     p = -0.9
-    w = incremental_weight_backward(theta_new, p, prev, np.array([0.5, 0.5]),
+    w = incremental_weight_backward(theta_new, np.array([p]), prev, np.log([0.5, 0.5]),
                                     mutation, model)
-    assert w == pytest.approx(p - math.log(0.5 * m1 + 0.5 * m2), abs=1e-10)
+    assert w[0] == pytest.approx(p - math.log(0.5 * m1 + 0.5 * m2), abs=1e-10)
+
+
+def test_backward_weight_vectorized_over_new_particles(model):
+    # a batch of new particles gets, row by row, the weight each gets alone
+    mutation = ProposalSpec("random-walk", 0.7)
+    prev = np.array([[-0.3], [0.5], [1.2]])
+    prev_logw = np.log([0.2, 0.5, 0.3])
+    new = np.array([[0.0], [0.9], [-1.4], [0.3]])
+    log_num = np.array([-0.9, -np.inf, -2.2, -0.4])
+    w = incremental_weight_backward(new, log_num, prev, prev_logw, mutation, model)
+    for i in range(new.shape[0]):
+        alone = incremental_weight_backward(new[i:i + 1], log_num[i:i + 1], prev,
+                                            prev_logw, mutation, model)
+        assert w[i] == alone[0]
+    assert w[1] == -np.inf
 
 
 def test_backward_weight_neginf_numerator(model):
     mutation = ProposalSpec("random-walk", 0.5)
-    w = incremental_weight_backward(np.array([0.0]), -np.inf, np.array([[0.0]]),
-                                    np.array([1.0]), mutation, model)
-    assert w == -np.inf
+    w = incremental_weight_backward(np.array([[0.0]]), np.array([-np.inf]),
+                                    np.array([[0.0]]), np.log([1.0]), mutation, model)
+    assert w[0] == -np.inf
 
 
 def test_backward_weight_all_zero_previous_weights_raises(model):
     with pytest.raises(ParticleCollapseError):
-        incremental_weight_backward(np.array([0.1]), -1.0, np.array([[0.0], [1.0]]),
-                                    np.zeros(2), ProposalSpec("random-walk", 0.5), model)
+        incremental_weight_backward(np.array([[0.1]]), np.array([-1.0]),
+                                    np.array([[0.0], [1.0]]), np.full(2, -np.inf),
+                                    ProposalSpec("random-walk", 0.5), model)
 
 
 def test_backward_weight_collapse_raises_under_optimize():
@@ -190,9 +227,9 @@ def test_backward_weight_collapse_raises_under_optimize():
         "if __debug__:\n"
         "    raise SystemExit(4)\n"
         "try:\n"
-        "    incremental_weight_backward(np.array([0.1]), -1.0, np.array([[0.0], [1.0]]),\n"
-        "                                np.zeros(2), ProposalSpec('random-walk', 0.5),\n"
-        "                                NormalMeanModel())\n"
+        "    incremental_weight_backward(np.array([[0.1]]), np.array([-1.0]),\n"
+        "                                np.array([[0.0], [1.0]]), np.full(2, -np.inf),\n"
+        "                                ProposalSpec('random-walk', 0.5), NormalMeanModel())\n"
         "except ParticleCollapseError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(3)\n")
@@ -354,9 +391,8 @@ def test_backward_simulator_call_counts(model, kernel):
     assert counting.n_summaries == n * s * schedule.n_steps
     assert counting.n_calls == n * schedule.n_steps
     before = counting.n_summaries
-    incremental_weight_backward(np.array([0.1]), -1.0, np.array([[0.0]]),
-                                np.array([1.0]), ProposalSpec("random-walk", 0.5),
-                                counting)
+    incremental_weight_backward(np.array([[0.1]]), np.array([-1.0]), np.array([[0.0]]),
+                                np.log([1.0]), ProposalSpec("random-walk", 0.5), counting)
     assert counting.n_summaries == before
 
 
@@ -421,7 +457,7 @@ def test_backward_with_threshold_still_targets(model, kernel):
 
 
 def test_particle_system_views_and_resample(model, kernel):
-    from lfs.smc import ParticleSystem, resample_systematic
+    from lfs.smc import ParticleSystem
 
     rng = substream(20, "sys")
     thetas = model.prior_sample(rng, (6,))
@@ -429,14 +465,13 @@ def test_particle_system_views_and_resample(model, kernel):
     log_pooled = np.asarray(kernel.log_pooled(0.0, bundles))
     log_prior = model.prior_logdensity(thetas)
     log_w = np.log(np.array([0.4, 0.3, 0.1, 0.1, 0.05, 0.05]))
-    system = ParticleSystem(thetas, bundles, log_w, log_pooled, log_prior,
-                            k=1, schedule=BandwidthSchedule.explicit([1.0]))
+    system = ParticleSystem(thetas, bundles, log_w, log_pooled, log_prior, k=1)
     assert system.n == 6
     # the cached values are the target's log_num of each particle
     assert system.log_pooled[2] + system.log_prior[2] == pytest.approx(
         joint_logdensity_unnorm(system.thetas[2], system.bundles[2], 0.0, kernel, model))
     assert 1.0 <= system.ess <= 6.0
-    resample_systematic(system, substream(21, "sys"))
+    system.resample(systematic_indices(system.normalized_weights(), substream(21, "sys")))
     assert np.allclose(system.normalized_weights(), 1.0 / 6.0)
     # offspring carry their donors' cached values
     recomputed = np.asarray(kernel.log_pooled(0.0, system.bundles))

@@ -64,8 +64,9 @@ def test_augmented_state_carries_cached_value(model):
 def test_marginal_estimate_domain_error():
     model = BernoulliCountModel()
     kernel = SmoothingKernel("uniform", 0.5)
-    with pytest.raises(DomainError):
-        marginal_logestimate(np.array([1.4]), 1, 6.0, kernel, model, substream(1, "t"))
+    for theta in (np.array([1.4]), np.array([[0.2], [1.4], [0.5]])):
+        with pytest.raises(DomainError):
+            marginal_logestimate(theta, 1, 6.0, kernel, model, substream(1, "t"))
 
 
 def test_marginal_estimate_all_miss_is_neginf(model):
@@ -81,10 +82,10 @@ def test_unbiasedness_of_marginal_estimate(model):
     kernel = SmoothingKernel("gaussian", 1.0)
     rng = substream(6, "t")
     for theta in (0.0, 0.5, 1.0):
-        vals = np.empty(100_000)
-        for r in range(vals.size):
-            lv, _ = marginal_logestimate(np.array([theta]), 1, 0.0, kernel, model, rng)
-            vals[r] = math.exp(lv)
+        # one batched call draws the replicates a loop of one-row calls drew
+        lv, _ = marginal_logestimate(np.full((100_000, 1), theta), 1, 0.0, kernel, model,
+                                     rng)
+        vals = np.array([math.exp(v) for v in lv.tolist()])
         exact = (math.exp(model.prior_logdensity([theta]))
                  * math.exp(float(model.smoothed_loglik(np.array([theta]), 0.0, kernel)[0])))
         assert vals.mean() == pytest.approx(exact, rel=0.01)
@@ -96,9 +97,8 @@ def test_variance_halves_when_s_doubles(model):
     variances = {}
     for S in (4, 8):
         rng = substream(7, "t", S)
-        vals = np.array([
-            math.exp(marginal_logestimate(theta, S, 0.0, kernel, model, rng)[0])
-            for _ in range(10_000)])
+        lv, _ = marginal_logestimate(np.tile(theta, (10_000, 1)), S, 0.0, kernel, model, rng)
+        vals = np.array([math.exp(v) for v in lv.tolist()])
         variances[S] = vals.var()
     assert variances[8] == pytest.approx(variances[4] / 2.0, rel=0.10)
 
@@ -109,9 +109,8 @@ def test_variance_monotone_in_s(model):
     prev = np.inf
     for S in (1, 2, 4, 8, 16):
         rng = substream(8, "t", S)
-        vals = np.array([
-            math.exp(marginal_logestimate(theta, S, 0.0, kernel, model, rng)[0])
-            for _ in range(10_000)])
+        lv, _ = marginal_logestimate(np.tile(theta, (10_000, 1)), S, 0.0, kernel, model, rng)
+        vals = np.array([math.exp(v) for v in lv.tolist()])
         assert vals.var() < prev
         prev = vals.var()
 
