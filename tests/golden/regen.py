@@ -90,6 +90,12 @@ CASES = [
      "--s", "5", "--reject-threshold", "0.5", "--seed", "35", *_OUT],
     ["smc", "--variant", "backward", *_BERN, "--kernel", "epanechnikov", *_SMC,
      "--s", "1", "--reject-threshold", "0.3", "--mutation", "prior", "--seed", "36", *_OUT],
+    # the default random-walk mutation on bernoulli-count: some proposals leave
+    # [0, 1] at every step, so the rows outside the prior's support are checked
+    ["smc", "--variant", "joint-move", *_BERN, "--kernel", "gaussian", *_SMC,
+     "--s", "2", "--seed", "37", *_OUT],
+    ["smc", "--variant", "backward", *_BERN, "--kernel", "uniform", *_SMC,
+     "--s", "3", "--seed", "38", *_OUT],
     # the reduced experiments; both exit 1, as runs this small are too short for
     # their statistical verdicts, and their report bytes are what is checked
     ["experiment", "mcwm-bias", "--config", "mcwm-bias.cfg", "--seed", "41",
