@@ -20,11 +20,13 @@ from .diagnostics import ks_statistic, weighted_moments
 from .errors import (BudgetExhaustedError, CapabilityError, ConfigurationError,
                      DomainError, ParticleCollapseError)
 from .experiments import EXPERIMENTS
-from .mcmc import run_mcmc
+from .kernels import KERNEL_KINDS
+from .mcmc import MCMC_VARIANTS, PROPOSAL_KINDS, run_mcmc
+from .models import MODEL_NAMES
 from .output import (resolve_out_path, summary_path_for, write_json_summary,
                      write_samples_csv)
 from .rejection import run_rejection
-from .smc import run_smc
+from .smc import SMC_VARIANTS, run_smc
 
 EXIT_OK = 0
 EXIT_STATISTICAL = 1
@@ -38,14 +40,12 @@ def _add_common(parser):
     parser.add_argument("--s", type=int, dest="run.s",
                         help="simulated datasets per proposal/particle")
     parser.add_argument("--t-y", dest="run.t_y", help="observed summary value")
-    parser.add_argument("--model", dest="model.name",
-                        choices=["normal-mean", "bernoulli-count"])
+    parser.add_argument("--model", dest="model.name", choices=MODEL_NAMES)
     parser.add_argument("--prior-mean", dest="model.prior_mean")
     parser.add_argument("--prior-sd", dest="model.prior_sd")
     parser.add_argument("--tau", dest="model.tau")
     parser.add_argument("--trials", dest="model.trials")
-    parser.add_argument("--kernel", dest="kernel.kind",
-                        choices=["uniform", "epanechnikov", "gaussian"])
+    parser.add_argument("--kernel", dest="kernel.kind", choices=KERNEL_KINDS)
     parser.add_argument("--h", dest="kernel.h", help="kernel bandwidth")
     parser.add_argument("--distance", dest="kernel.distance")
     parser.add_argument("--distance-weights", dest="kernel.distance_weights")
@@ -70,25 +70,25 @@ def build_parser():
 
     p = sub.add_parser("mcmc", help="MCMC sampler (carried or fresh denominator)")
     _add_common(p)
-    p.add_argument("--variant", dest="mcmc.variant", choices=["carried", "fresh"])
+    p.add_argument("--variant", dest="mcmc.variant", choices=MCMC_VARIANTS)
     p.add_argument("--n-iter", dest="mcmc.n_iter")
     p.add_argument("--burn-in", dest="mcmc.burn_in")
     p.add_argument("--thin", dest="mcmc.thin")
-    p.add_argument("--proposal", dest="mcmc.proposal", choices=["random-walk", "prior"])
+    p.add_argument("--proposal", dest="mcmc.proposal", choices=PROPOSAL_KINDS)
     p.add_argument("--step-sd", dest="mcmc.step_sd")
     p.add_argument("--init", dest="mcmc.init")
     p.add_argument("--out", dest="run.out")
 
     p = sub.add_parser("smc", help="SMC sampler over a decreasing bandwidth schedule")
     _add_common(p)
-    p.add_argument("--variant", dest="smc.variant", choices=["joint-move", "backward"])
+    p.add_argument("--variant", dest="smc.variant", choices=SMC_VARIANTS)
     p.add_argument("--h-start", dest="smc.h_start")
     p.add_argument("--h-end", dest="smc.h_end")
     p.add_argument("--steps", dest="smc.steps")
     p.add_argument("--particles", dest="smc.particles")
     p.add_argument("--ess-threshold", dest="smc.ess_threshold")
     p.add_argument("--reject-threshold", dest="smc.reject_threshold")
-    p.add_argument("--mutation", dest="smc.mutation", choices=["random-walk", "prior"])
+    p.add_argument("--mutation", dest="smc.mutation", choices=PROPOSAL_KINDS)
     p.add_argument("--step-sd", dest="smc.step_sd")
     p.add_argument("--out", dest="run.out")
 

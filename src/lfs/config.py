@@ -15,6 +15,7 @@ from .errors import ConfigurationError
 from .kernels import KERNEL_KINDS, SmoothingKernel, SummaryDistance
 from .mcmc import MCMC_VARIANTS, PROPOSAL_KINDS, ProposalSpec
 from .models import MODEL_NAMES, make_model
+from .rejection import DEFAULT_BLOCK_SIZE, DEFAULT_BUDGET
 from .rng import MAX_SEED
 from .smc import SMC_VARIANTS, BandwidthSchedule, SmcVariantSpec
 
@@ -52,8 +53,8 @@ class RejectionSection:
     """Worker count is deliberately not a config key: it cannot affect output."""
 
     n_accept: int = 10_000
-    budget: int = 100_000_000
-    block_size: int = 4096
+    budget: int = DEFAULT_BUDGET
+    block_size: int = DEFAULT_BLOCK_SIZE
     emit_bundles: bool = False
 
 

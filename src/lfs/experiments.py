@@ -57,20 +57,19 @@ def dual_bookkeeping_mcmc(config, seed=None):
     mismatch_with_production = {"value": 0.0, "iteration": None}
 
     def check(rec):
-        prop, curr = rec.prop, rec.curr
-        lhat_prop = joint_logdensity_unnorm(prop.theta, prop.bundle, t_y, kernel, model)
-        lhat_curr = joint_logdensity_unnorm(curr.theta, curr.bundle, t_y, kernel, model)
-        log_q_ratio = proposal.log_q_ratio(curr.theta, prop.theta, model)
+        lhat_prop = joint_logdensity_unnorm(rec.prop.theta, rec.prop.bundle, t_y, kernel, model)
+        lhat_curr = joint_logdensity_unnorm(rec.curr.theta, rec.curr.bundle, t_y, kernel, model)
+        log_q_ratio = proposal.log_q_ratio(rec.curr.theta, rec.prop.theta, model)
         ratio_marginal = float(mh_step(lhat_prop, lhat_curr, log_q_ratio, rec.u)[0])
-        num_prop = joint_logdensity_unnorm(prop.theta, prop.bundle, t_y, kernel, model)
-        num_curr = joint_logdensity_unnorm(curr.theta, curr.bundle, t_y, kernel, model)
+        num_prop = joint_logdensity_unnorm(rec.prop.theta, rec.prop.bundle, t_y, kernel, model)
+        num_curr = joint_logdensity_unnorm(rec.curr.theta, rec.curr.bundle, t_y, kernel, model)
         ratio_joint = float(mh_step(num_prop, num_curr, log_q_ratio, rec.u)[0])
         d = _max_discrepancy(ratio_marginal, ratio_joint)
         if d > worst["value"]:
-            worst.update(value=d, iteration=rec.iteration)
+            worst.update(value=d, iteration=rec.step)
         p = _max_discrepancy(ratio_marginal, rec.log_ratio)
         if p > mismatch_with_production["value"]:
-            mismatch_with_production.update(value=p, iteration=rec.iteration)
+            mismatch_with_production.update(value=p, iteration=rec.step)
 
     run_mcmc(model, kernel, t_y, config.run.s, CARRIED_BUNDLE, proposal,
              n_iter, 0, seed, chain_id=config.mcmc.chain_id, on_iteration=check)
@@ -99,23 +98,23 @@ def dual_bookkeeping_smc(config, seed=None):
     count = {"n": 0}
 
     def check(rec):
-        count["n"] += rec.index.size
-        kern_new = kernel.with_bandwidth(rec.h_new)
-        kern_prev = kernel.with_bandwidth(rec.h_prev)
-        log_m = mutation.logdensity(rec.theta_curr, rec.theta_prop, model)
-        log_l = mutation.logdensity(rec.theta_prop, rec.theta_curr, model)
+        count["n"] += rec.accepted.size
+        kern_new = kernel.with_bandwidth(schedule.values[rec.step - 1])
+        kern_prev = kernel.with_bandwidth(schedule.values[rec.step - 2])
+        log_m = mutation.logdensity(rec.curr.theta, rec.prop.theta, model)
+        log_l = mutation.logdensity(rec.prop.theta, rec.curr.theta, model)
         # marginal bookkeeping: estimates of the two smoothed marginals
-        lhat_new = joint_logdensity_unnorm(rec.theta_prop, rec.bundle_prop,
+        lhat_new = joint_logdensity_unnorm(rec.prop.theta, rec.prop.bundle,
                                            t_y, kern_new, model)
-        lhat_prev = joint_logdensity_unnorm(rec.theta_curr, rec.bundle_curr,
+        lhat_prev = joint_logdensity_unnorm(rec.curr.theta, rec.curr.bundle,
                                             t_y, kern_prev, model)
         w_marginal = log_quotient(lhat_new + log_l, lhat_prev + log_m)
         # joint bookkeeping: pooled kernel and prior assembled separately
         w_joint = incremental_weight_joint_general(
-            kern_new.log_pooled(t_y, rec.bundle_prop),
-            model.prior_logdensity(rec.theta_prop), log_l,
-            kern_prev.log_pooled(t_y, rec.bundle_curr),
-            model.prior_logdensity(rec.theta_curr), log_m)
+            kern_new.log_pooled(t_y, rec.prop.bundle),
+            model.prior_logdensity(rec.prop.theta), log_l,
+            kern_prev.log_pooled(t_y, rec.curr.bundle),
+            model.prior_logdensity(rec.curr.theta), log_m)
         d = _max_discrepancy(w_marginal, w_joint)
         if d > worst["value"]:
             worst.update(value=d, step=rec.step)

@@ -109,12 +109,7 @@ class SmoothingKernel:
 
     def sup_value(self):
         """The profile's maximum, attained at zero distance."""
-        h = self.bandwidth
-        if self.kind == "uniform":
-            return 0.5 / h
-        if self.kind == "epanechnikov":
-            return 0.75 / h
-        return 1.0 / (h * math.sqrt(2.0 * math.pi))
+        return float(self._profile(0.0))
 
     def _profile(self, d):
         h = self.bandwidth

@@ -27,7 +27,8 @@ import numpy as np
 from .errors import BudgetExhaustedError, ConfigurationError, DomainError
 from .kernels import _LOG_SQRT_2PI
 from .rng import substream
-from .target import AugmentedState, joint_logdensity_unnorm, mh_step, simulate_checked
+from .target import (AugmentedState, MoveRecord, joint_logdensity_unnorm, mh_step,
+                     simulate_checked)
 
 CARRIED_BUNDLE = "carried"
 FRESH_DENOMINATOR = "fresh"
@@ -91,18 +92,6 @@ class ProposalSpec:
 
 
 @dataclass
-class IterationRecord:
-    """Per-iteration quantities handed to instrumentation callbacks."""
-
-    iteration: int
-    prop: AugmentedState
-    curr: AugmentedState          # the fresh estimate, for the fresh variant
-    log_ratio: float
-    u: float
-    accepted: bool
-
-
-@dataclass
 class McmcOutput:
     iterations: np.ndarray       # kept iteration indices, 1-based
     thetas: np.ndarray           # (n_kept, param_dim)
@@ -144,7 +133,7 @@ def initialize_chain(model, kernel, t_y, S, rng, init=None, init_budget=100_000)
 
 def run_mcmc(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, seed, *,
              init=None, thin=1, chain_id=0, init_budget=100_000,
-             on_iteration: Optional[Callable[[IterationRecord], None]] = None):
+             on_iteration: Optional[Callable[[MoveRecord], None]] = None):
     """Run one chain; returns the post-burn-in, thinned trajectory.
 
     The whole chain lives on the substream (seed, "mcmc", "chain", chain_id),
@@ -177,8 +166,7 @@ def run_mcmc(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, seed, *,
             log_q_ratio = proposal.log_q_ratio(state.theta, prop.theta, model)
             log_ratio, accepted = mh_step(prop.log_num, state.log_num, log_q_ratio, u)
             if on_iteration is not None:
-                on_iteration(IterationRecord(n, prop, state, float(log_ratio), u,
-                                             bool(accepted)))
+                on_iteration(MoveRecord(n, prop, state, float(log_ratio), u, bool(accepted)))
             if accepted:
                 state = prop
                 n_accepted += 1

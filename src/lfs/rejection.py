@@ -28,6 +28,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_BLOCK_SIZE = 4096
+LOG_EVERY = 2_000_000  # proposals between progress log lines
 
 
 @dataclass
@@ -59,8 +60,7 @@ def _evaluate_block(model, kernel, t_y, S, seed, block, block_size):
 
 
 def run_rejection(model, kernel, t_y, S, n_accept, seed, *,
-                  budget=DEFAULT_BUDGET, workers=1, block_size=DEFAULT_BLOCK_SIZE,
-                  log_every=2_000_000):
+                  budget=DEFAULT_BUDGET, workers=1, block_size=DEFAULT_BLOCK_SIZE):
     """Run the rejection sampler until ``n_accept`` acceptances.
 
     Parameters
@@ -93,7 +93,7 @@ def run_rejection(model, kernel, t_y, S, n_accept, seed, *,
     acc_thetas, acc_bundles = [], []
     n_found = 0
     proposals_used = 0
-    next_log = log_every
+    next_log = LOG_EVERY
 
     def finish(final_block, within):
         nonlocal proposals_used
@@ -120,7 +120,7 @@ def run_rejection(model, kernel, t_y, S, n_accept, seed, *,
             return finish(block, int(last_needed) + 1)
         done = block * block_size + allowed
         if done >= next_log:
-            next_log += log_every
+            next_log += LOG_EVERY
             logger.info("rejection: %d proposals, %d/%d accepted", done, n_found, n_accept)
         return None
 

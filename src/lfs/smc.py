@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigurationError, ParticleCollapseError
 from .kernels import _LOG_SQRT_2PI
 from .rng import substream
-from .target import log_quotient, mh_step, simulate_checked
+from .target import AugmentedState, MoveRecord, log_quotient, mh_step, simulate_checked
 
 JOINT_MCMC_MOVE = "joint-move"
 BACKWARD_KERNEL = "backward"
@@ -48,7 +48,6 @@ class BandwidthSchedule:
     """Strictly decreasing, positive bandwidths h_1 > ... > h_n."""
 
     values: np.ndarray
-    kind: str = "explicit"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -64,14 +63,10 @@ class BandwidthSchedule:
         if n_steps < 1:
             raise ConfigurationError("n_steps must be >= 1")
         if n_steps == 1:
-            return cls(np.array([float(h_end)]), kind="geometric")
+            return cls(np.array([float(h_end)]))
         if not h_start > h_end > 0:
             raise ConfigurationError("need h_start > h_end > 0")
-        return cls(np.geomspace(h_start, h_end, n_steps), kind="geometric")
-
-    @classmethod
-    def explicit(cls, values):
-        return cls(np.asarray(values, dtype=float), kind="explicit")
+        return cls(np.geomspace(h_start, h_end, n_steps))
 
     @property
     def n_steps(self):
@@ -92,24 +87,6 @@ class SmcVariantSpec:
                     "rejection_threshold is only valid for the backward variant")
             if not 0.0 < self.rejection_threshold < 1.0:
                 raise ConfigurationError("rejection_threshold must lie in (0, 1)")
-
-
-@dataclass
-class MutationRecord:
-    """One step's realized mutation moves, for instrumentation of the weight
-    bookkeepings.  Row i is particle ``index[i]``; rows are the particles whose
-    proposal lies in the prior's support."""
-
-    step: int
-    h_new: float
-    h_prev: float
-    index: np.ndarray              # (M,)
-    theta_curr: np.ndarray         # (M, param_dim), before the move
-    bundle_curr: np.ndarray        # (M, S, summary_dim)
-    theta_prop: np.ndarray
-    bundle_prop: np.ndarray
-    log_ratio: np.ndarray          # (M,)
-    accepted: np.ndarray           # (M,) bool
 
 
 @dataclass
@@ -254,34 +231,33 @@ def incremental_weight_backward(new_thetas, log_num_new, prev_thetas, prev_log_w
     return log_quotient(log_num_new, log_mix)
 
 
+@dataclass
 class ParticleSystem:
     """Weighted particle population with its bandwidth-schedule position."""
 
-    def __init__(self, thetas, bundles, log_weights, log_pooled, log_prior, k):
-        self.thetas = thetas
-        self.bundles = bundles
-        self.log_weights = log_weights
-        self.log_pooled = log_pooled
-        self.log_prior = log_prior
-        self.k = k
-
-    @property
-    def n(self):
-        return self.thetas.shape[0]
+    thetas: np.ndarray             # (N, param_dim)
+    bundles: np.ndarray            # (N, S, summary_dim)
+    log_weights: np.ndarray
+    log_pooled: np.ndarray         # at the current bandwidth
+    log_prior: np.ndarray
+    k: int
 
     def normalized_weights(self):
         return normalize_log_weights(self.log_weights, step=self.k)
 
-    @property
-    def ess(self):
-        return ess(self.normalized_weights())
+    def replace(self, rows, thetas, bundles, log_pooled, log_prior):
+        """Overwrite the selected rows (accepted or mutated particles) in place."""
+        self.thetas[rows] = thetas[rows]
+        self.bundles[rows] = bundles[rows]
+        self.log_pooled[rows] = log_pooled[rows]
+        self.log_prior[rows] = log_prior[rows]
 
     def resample(self, indices):
         self.thetas = self.thetas[indices]
         self.bundles = self.bundles[indices]
         self.log_pooled = self.log_pooled[indices]
         self.log_prior = self.log_prior[indices]
-        self.log_weights = np.full(self.n, -math.log(self.n))
+        self.log_weights = np.full(len(indices), -math.log(len(indices)))
 
 
 def apply_particle_rejection(weights, threshold, rng):
@@ -302,7 +278,7 @@ def apply_particle_rejection(weights, threshold, rng):
 
 def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
             ess_threshold=0.5,
-            on_mutation: Optional[Callable[[MutationRecord], None]] = None):
+            on_mutation: Optional[Callable[[MoveRecord], None]] = None):
     """Run the SMC sampler; returns the final weighted population at h_n.
 
     Parameters
@@ -316,6 +292,8 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
         MCMC proposal (joint-move) / mutation kernel (backward).
     ess_threshold : float in (0, 1]
         Resample whenever ESS < ess_threshold * N.
+    on_mutation : callable, optional
+        Called with each joint-move step's ``MoveRecord``.
     """
     if isinstance(variant, str):
         variant = SmcVariantSpec(variant)
@@ -343,17 +321,64 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
 
     for k in range(2, schedule.n_steps + 1):
         system.k = k
-        h_new, h_prev = hs[k - 1], hs[k - 2]
-        kern_new = kernel.with_bandwidth(h_new)
+        kern = kernel.with_bandwidth(hs[k - 1])
+        if variant.kind == JOINT_MCMC_MOVE:
+            # reweight with the bandwidth-tightening factor on the pre-move bundles
+            log_pooled = kern.log_pooled(t_y, system.bundles)
+            system.log_weights = system.log_weights + incremental_weight_joint(
+                log_pooled, system.log_pooled)
+            system.log_pooled = log_pooled
+            norm_w = system.normalized_weights()
+        else:
+            # the pre-resample weighted population is the mixture reference; it is
+            # read before replace() below overwrites system.thetas in place
+            prev_thetas = system.thetas
+            with np.errstate(divide="ignore"):
+                prev_logw = np.log(norm_w)
+
+        if ess(norm_w) < ess_threshold * N:
+            idx = systematic_indices(norm_w, substream(seed, "smc", "step", k, "resample"))
+            system.resample(idx)
+            norm_w = system.normalized_weights()
+            resampled_steps.append(k)
+
+        # one proposal per particle; rows outside the prior keep their bundle
+        rng = substream(seed, "smc", "step", k, "mutate")
+        thetas = mutation.sample(system.thetas, model, rng)
+        log_prior = model.prior_logdensity(thetas)
+        live = log_prior > -np.inf
+        bundles = system.bundles.copy()
+        bundles[live] = simulate_checked(model, thetas[live], S, rng)
+        log_pooled = np.where(live, kern.log_pooled(t_y, bundles), -np.inf)
 
         if variant.kind == JOINT_MCMC_MOVE:
-            norm_w = _joint_move_step(model, kern_new, t_y, S, seed, system, mutation,
-                                      ess_threshold, k, h_new, h_prev,
-                                      resampled_steps, acceptance_trace, on_mutation)
+            # one carried-bundle MH step per particle, invariant for the new target
+            log_num_prop = log_pooled + log_prior
+            log_num = system.log_pooled + system.log_prior
+            u = rng.uniform(size=N)
+            log_ratio, accept = mh_step(log_num_prop, log_num,
+                                        mutation.log_q_ratio(system.thetas, thetas, model), u)
+            accept &= live
+            if on_mutation is not None:
+                on_mutation(MoveRecord(
+                    k, AugmentedState(thetas[live], bundles[live], log_num_prop[live]),
+                    AugmentedState(system.thetas[live], system.bundles[live], log_num[live]),
+                    log_ratio[live], u[live], accept[live]))
+            system.replace(accept, thetas, bundles, log_pooled, log_prior)
+            acceptance_trace.append(float(np.mean(accept)))
         else:
-            norm_w = _backward_step(model, kern_new, t_y, S, seed, system, norm_w,
-                                    mutation, ess_threshold, variant.rejection_threshold,
-                                    k, resampled_steps)
+            incr = incremental_weight_backward(thetas, log_pooled + log_prior,
+                                               prev_thetas, prev_logw, mutation, model)
+            system.replace(slice(None), thetas, bundles, log_pooled, log_prior)
+            system.log_weights = system.log_weights + incr
+            norm_w = system.normalized_weights()
+            if variant.rejection_threshold is not None:
+                thresholded = apply_particle_rejection(
+                    norm_w, variant.rejection_threshold,
+                    substream(seed, "smc", "step", k, "threshold"))
+                with np.errstate(divide="ignore"):
+                    system.log_weights = np.log(thresholded)
+                norm_w = system.normalized_weights()
         ess_trace.append(ess(norm_w))
 
     with np.errstate(divide="ignore"):
@@ -364,86 +389,3 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
         resampled_steps=np.asarray(resampled_steps, dtype=np.int64),
         schedule=schedule, variant=variant.kind, seed=seed,
     )
-
-
-def _joint_move_step(model, kern_new, t_y, S, seed, system, mutation,
-                     ess_threshold, k, h_new, h_prev, resampled_steps,
-                     acceptance_trace, on_mutation):
-    n = system.n
-    # reweight with the bandwidth-tightening factor on the pre-move bundles
-    log_pooled_new = kern_new.log_pooled(t_y, system.bundles)
-    system.log_weights = system.log_weights + incremental_weight_joint(log_pooled_new,
-                                                                       system.log_pooled)
-    system.log_pooled = log_pooled_new
-    norm_w = system.normalized_weights()
-
-    if ess(norm_w) < ess_threshold * n:
-        idx = systematic_indices(norm_w, substream(seed, "smc", "step", k, "resample"))
-        system.resample(idx)
-        norm_w = np.full(n, 1.0 / n)
-        resampled_steps.append(k)
-
-    # mutate: one carried-bundle MH step per particle, invariant for the new target
-    rng = substream(seed, "smc", "step", k, "mutate")
-    log_num = system.log_pooled + system.log_prior
-    theta_prop = mutation.sample(system.thetas, model, rng)
-    lp_prior = model.prior_logdensity(theta_prop)
-    in_support = lp_prior > -np.inf
-    bundles_prop = np.empty_like(system.bundles)
-    bundles_prop[in_support] = simulate_checked(model, theta_prop[in_support], S, rng)
-    log_pooled_prop = np.where(in_support, kern_new.log_pooled(t_y, bundles_prop), -np.inf)
-    log_ratio, accept = mh_step(log_pooled_prop + lp_prior, log_num,
-                                mutation.log_q_ratio(system.thetas, theta_prop, model),
-                                rng.uniform(size=n))
-    accept &= in_support
-
-    if on_mutation is not None:
-        on_mutation(MutationRecord(
-            step=k, h_new=h_new, h_prev=h_prev, index=np.flatnonzero(in_support),
-            theta_curr=system.thetas[in_support], bundle_curr=system.bundles[in_support],
-            theta_prop=theta_prop[in_support], bundle_prop=bundles_prop[in_support],
-            log_ratio=log_ratio[in_support], accepted=accept[in_support]))
-
-    system.thetas[accept] = theta_prop[accept]
-    system.bundles[accept] = bundles_prop[accept]
-    system.log_pooled[accept] = log_pooled_prop[accept]
-    system.log_prior[accept] = lp_prior[accept]
-    acceptance_trace.append(float(np.mean(accept)))
-    return norm_w
-
-
-def _backward_step(model, kern_new, t_y, S, seed, system, norm_w, mutation,
-                   ess_threshold, rejection_threshold, k, resampled_steps):
-    n = system.n
-    # the pre-resample weighted population is the mixture reference
-    prev_thetas = system.thetas.copy()
-    with np.errstate(divide="ignore"):
-        prev_logw = np.log(norm_w)
-
-    if ess(norm_w) < ess_threshold * n:
-        idx = systematic_indices(norm_w, substream(seed, "smc", "step", k, "resample"))
-        system.resample(idx)
-        resampled_steps.append(k)
-
-    rng = substream(seed, "smc", "step", k, "mutate")
-    new_thetas = mutation.sample(system.thetas, model, rng)
-    log_prior_new = model.prior_logdensity(new_thetas)
-    in_support = log_prior_new > -np.inf
-    system.bundles[in_support] = simulate_checked(model, new_thetas[in_support], S, rng)
-    log_pooled_new = np.where(in_support, kern_new.log_pooled(t_y, system.bundles), -np.inf)
-
-    incr = incremental_weight_backward(new_thetas, log_pooled_new + log_prior_new,
-                                       prev_thetas, prev_logw, mutation, model)
-    system.thetas = new_thetas
-    system.log_prior = log_prior_new
-    system.log_pooled = log_pooled_new
-    system.log_weights = system.log_weights + incr
-    norm_w = system.normalized_weights()
-
-    if rejection_threshold is not None:
-        thresholded = apply_particle_rejection(
-            norm_w, rejection_threshold, substream(seed, "smc", "step", k, "threshold"))
-        with np.errstate(divide="ignore"):
-            system.log_weights = np.log(thresholded)
-        norm_w = system.normalized_weights()
-    return norm_w

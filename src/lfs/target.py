@@ -27,15 +27,34 @@ from .errors import DomainError
 class AugmentedState:
     """A parameter with its simulated bundle and cached log[pooled kernel x prior].
 
-    The one state type: a chain's current state, or a proposal awaiting the MH
-    step.  ``log_num`` is only meaningful at the bandwidth it was computed at;
-    holders refresh it whenever their bandwidth changes.  -inf means every
-    summary in the bundle missed the kernel's support.
+    The one state type: a chain's state or a proposal awaiting the MH step, or
+    rows of either for particles.  ``log_num`` is only meaningful at the bandwidth
+    it was computed at; holders refresh it whenever their bandwidth changes.
+    -inf means every summary in the bundle missed the kernel's support.
     """
 
     theta: np.ndarray
     bundle: np.ndarray
     log_num: float
+
+
+@dataclass
+class MoveRecord:
+    """One realized Metropolis-Hastings move, handed to instrumentation callbacks.
+
+    A chain iteration holds scalars.  An SMC step holds rows, one per particle
+    whose proposal lies in the prior's support.  ``curr`` is the state the
+    proposal was weighed against (the fresh estimate, for the fresh variant),
+    and ``mh_step(prop.log_num, curr.log_num, log_q_ratio, u)`` replays
+    ``(log_ratio, accepted)``.
+    """
+
+    step: int
+    prop: AugmentedState
+    curr: AugmentedState
+    log_ratio: np.ndarray
+    u: np.ndarray
+    accepted: np.ndarray
 
 
 def simulate_checked(model, theta, S, rng):

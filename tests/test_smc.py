@@ -13,7 +13,7 @@ from lfs.diagnostics import ks_2sample_permutation, weighted_moments
 from lfs.errors import ConfigurationError, DomainError, ParticleCollapseError
 from lfs.kernels import SmoothingKernel
 from lfs.mcmc import ProposalSpec
-from lfs.models import NormalMeanModel
+from lfs.models import BernoulliCountModel, NormalMeanModel
 from lfs.rejection import run_rejection
 from lfs.rng import substream
 from lfs.smc import (BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule,
@@ -21,7 +21,7 @@ from lfs.smc import (BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule,
                      incremental_weight_backward, incremental_weight_joint,
                      incremental_weight_joint_general, mixture_logdensity,
                      normalize_log_weights, run_smc, systematic_indices)
-from lfs.target import joint_logdensity_unnorm
+from lfs.target import joint_logdensity_unnorm, mh_step
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -57,13 +57,13 @@ def kernel():
 
 def test_schedule_validation():
     BandwidthSchedule.geometric(2.0, 0.5, 6)
-    BandwidthSchedule.explicit([3.0, 1.0, 0.2])
+    BandwidthSchedule([3.0, 1.0, 0.2])
     with pytest.raises(ConfigurationError):
-        BandwidthSchedule.explicit([1.0, 1.0])
+        BandwidthSchedule([1.0, 1.0])
     with pytest.raises(ConfigurationError):
-        BandwidthSchedule.explicit([1.0, 2.0])
+        BandwidthSchedule([1.0, 2.0])
     with pytest.raises(ConfigurationError):
-        BandwidthSchedule.explicit([1.0, -0.5])
+        BandwidthSchedule([1.0, -0.5])
     with pytest.raises(ConfigurationError):
         BandwidthSchedule.geometric(0.5, 2.0, 4)
     single = BandwidthSchedule.geometric(2.0, 0.4, 1)
@@ -222,7 +222,7 @@ def test_backward_weight_collapse_raises_under_optimize():
         "import numpy as np\n"
         "from lfs.errors import ParticleCollapseError\n"
         "from lfs.mcmc import ProposalSpec\n"
-        "from lfs.models import NormalMeanModel\n"
+        "from lfs.models import BernoulliCountModel, NormalMeanModel\n"
         "from lfs.smc import incremental_weight_backward\n"
         "if __debug__:\n"
         "    raise SystemExit(4)\n"
@@ -349,6 +349,30 @@ def test_joint_move_reference_run(model, kernel):
     assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_joint_move_records_replay_through_mh_step():
+    # the random walk on bernoulli-count proposes outside [0, 1] at every step;
+    # those particles get no move and are left out of the step's record
+    model = BernoulliCountModel()
+    kernel = SmoothingKernel("gaussian", 1.0)
+    schedule = BandwidthSchedule.geometric(2.0, 0.3, 6)
+    mutation = ProposalSpec().resolved(model)
+    records = []
+    run_smc(model, kernel, schedule, 2, 200, JOINT_MCMC_MOVE, mutation, seed=37, t_y=7.0,
+            on_mutation=records.append)
+    assert [rec.step for rec in records] == list(range(2, 7))
+    assert any(rec.accepted.size < 200 for rec in records)
+    for rec in records:
+        assert np.all((rec.prop.theta >= 0.0) & (rec.prop.theta <= 1.0))
+        kern = kernel.with_bandwidth(schedule.values[rec.step - 1])
+        for state in (rec.prop, rec.curr):
+            assert np.array_equal(state.log_num, joint_logdensity_unnorm(
+                state.theta, state.bundle, 7.0, kern, model))
+        log_q_ratio = mutation.log_q_ratio(rec.curr.theta, rec.prop.theta, model)
+        log_ratio, accepted = mh_step(rec.prop.log_num, rec.curr.log_num, log_q_ratio, rec.u)
+        assert np.array_equal(log_ratio, rec.log_ratio)
+        assert np.array_equal(accepted, rec.accepted)
+
+
 def test_single_step_schedule_matches_rejection_target(model, kernel):
     # a one-step run is a prior-weighted importance sample with weights
     # proportional to the pooled kernel; resampling it must be
@@ -411,7 +435,7 @@ def test_bandwidth_tightening_shrinks_support_sets(model):
 
 def test_total_collapse_raises(model):
     kernel = SmoothingKernel("uniform", 1.0)
-    schedule = BandwidthSchedule.explicit([3.0, 1e-9])
+    schedule = BandwidthSchedule([3.0, 1e-9])
     with pytest.raises(ParticleCollapseError) as err:
         run_smc(model, kernel, schedule, 1, 50, JOINT_MCMC_MOVE, ProposalSpec(),
                 seed=12, t_y=0.0)
@@ -466,11 +490,10 @@ def test_particle_system_views_and_resample(model, kernel):
     log_prior = model.prior_logdensity(thetas)
     log_w = np.log(np.array([0.4, 0.3, 0.1, 0.1, 0.05, 0.05]))
     system = ParticleSystem(thetas, bundles, log_w, log_pooled, log_prior, k=1)
-    assert system.n == 6
     # the cached values are the target's log_num of each particle
     assert system.log_pooled[2] + system.log_prior[2] == pytest.approx(
         joint_logdensity_unnorm(system.thetas[2], system.bundles[2], 0.0, kernel, model))
-    assert 1.0 <= system.ess <= 6.0
+    assert 1.0 <= ess(system.normalized_weights()) <= 6.0
     system.resample(systematic_indices(system.normalized_weights(), substream(21, "sys")))
     assert np.allclose(system.normalized_weights(), 1.0 / 6.0)
     # offspring carry their donors' cached values
