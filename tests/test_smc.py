@@ -222,7 +222,7 @@ def test_backward_weight_collapse_raises_under_optimize():
         "import numpy as np\n"
         "from lfs.errors import ParticleCollapseError\n"
         "from lfs.mcmc import ProposalSpec\n"
-        "from lfs.models import BernoulliCountModel, NormalMeanModel\n"
+        "from lfs.models import NormalMeanModel\n"
         "from lfs.smc import incremental_weight_backward\n"
         "if __debug__:\n"
         "    raise SystemExit(4)\n"
@@ -495,6 +495,7 @@ def test_particle_system_views_and_resample(model, kernel):
         joint_logdensity_unnorm(system.thetas[2], system.bundles[2], 0.0, kernel, model))
     assert 1.0 <= ess(system.normalized_weights()) <= 6.0
     system.resample(systematic_indices(system.normalized_weights(), substream(21, "sys")))
+    assert system.log_weights.shape == (6,)
     assert np.allclose(system.normalized_weights(), 1.0 / 6.0)
     # offspring carry their donors' cached values
     recomputed = np.asarray(kernel.log_pooled(0.0, system.bundles))
