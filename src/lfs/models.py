@@ -15,7 +15,9 @@ known target.
   other kernels get a summation-based oracle.
 """
 
+import functools
 import math
+import threading
 
 import numpy as np
 from scipy import integrate, stats
@@ -30,14 +32,41 @@ class AnalyticOracle:
     """Exact (closed-form or quadrature-grade) smoothed marginal posterior.
 
     Callables are vectorized over theta.  ``posterior_density`` integrates to
-    one; ``cdf`` is non-decreasing from 0 to 1.
+    one; ``cdf`` is non-decreasing from 0 to 1.  ``moments()`` returns
+    (mean, variance) and runs only when ``posterior_mean`` or
+    ``posterior_variance`` is first read.  Instances are read-only, so one
+    oracle can be shared by every caller that asks for the same target.
     """
 
-    def __init__(self, posterior_density, cdf, posterior_mean, posterior_variance):
-        self.posterior_density = posterior_density
-        self.cdf = cdf
-        self.posterior_mean = float(posterior_mean)
-        self.posterior_variance = float(posterior_variance)
+    def __init__(self, posterior_density, cdf, moments):
+        object.__setattr__(self, "posterior_density", posterior_density)
+        object.__setattr__(self, "cdf", cdf)
+        object.__setattr__(self, "_moments_fn", moments)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AnalyticOracle is read-only (cannot set {name!r})")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"AnalyticOracle is read-only (cannot delete {name!r})")
+
+    @functools.cached_property
+    def _moments(self):
+        mean, var = self._moments_fn()
+        return float(mean), float(var)
+
+    @property
+    def posterior_mean(self):
+        return self._moments[0]
+
+    @property
+    def posterior_variance(self):
+        return self._moments[1]
+
+
+# Oracles built in this process, oldest first, keyed by target (Model.oracle).
+ORACLE_MEMO_SIZE = 8
+_ORACLES = {}
+_ORACLES_LOCK = threading.RLock()
 
 
 class Model:
@@ -72,6 +101,28 @@ class Model:
         raise NotImplementedError
 
     def oracle(self, t_y, kernel):
+        """The smoothed marginal posterior given observed summary t_y under ``kernel``.
+
+        Built once per process for each (model class, hyperparameters, t_y,
+        kernel kind, bandwidth, distance) and shared; the table keeps the
+        ``ORACLE_MEMO_SIZE`` most recently built oracles.  Safe to call from
+        several threads.
+        """
+        t_y = float(np.asarray(t_y).reshape(()))
+        weights = kernel.distance.weights
+        key = (type(self), tuple(sorted(self.hyperparameters().items())), t_y,
+               kernel.kind, kernel.bandwidth, kernel.distance.norm,
+               None if weights is None else tuple(weights.tolist()))
+        with _ORACLES_LOCK:
+            oracle = _ORACLES.get(key)
+            if oracle is None:
+                oracle = self._build_oracle(t_y, kernel)
+                if len(_ORACLES) >= ORACLE_MEMO_SIZE:
+                    del _ORACLES[next(iter(_ORACLES))]
+                _ORACLES[key] = oracle
+        return oracle
+
+    def _build_oracle(self, t_y, kernel):
         raise CapabilityError(f"model {self.name!r} has no analytic oracle")
 
     def hyperparameters(self):
@@ -144,8 +195,7 @@ class NormalMeanModel(Model):
         with np.errstate(divide="ignore"):
             return np.log(out)
 
-    def oracle(self, t_y, kernel):
-        t_y = float(np.asarray(t_y).reshape(()))
+    def _build_oracle(self, t_y, kernel):
         if kernel.kind == "gaussian":
             lik_var = self.tau**2 + kernel.bandwidth**2
             prec = 1.0 / self._prior_sd**2 + 1.0 / lik_var
@@ -155,8 +205,7 @@ class NormalMeanModel(Model):
             return AnalyticOracle(
                 posterior_density=lambda th: stats.norm.pdf(th, post_mean, post_sd),
                 cdf=lambda th: stats.norm.cdf(th, post_mean, post_sd),
-                posterior_mean=post_mean,
-                posterior_variance=post_var,
+                moments=lambda: (post_mean, post_var),
             )
         lo = min(self.prior_mean, t_y) - 12.0 * self._prior_sd
         hi = max(self.prior_mean, t_y) + 12.0 * self._prior_sd
@@ -210,8 +259,7 @@ class BernoulliCountModel(Model):
         with np.errstate(divide="ignore"):
             return np.log(kvals @ pmf)
 
-    def oracle(self, t_y, kernel):
-        t_y = float(np.asarray(t_y).reshape(()))
+    def _build_oracle(self, t_y, kernel):
         exact_match = (kernel.kind == "uniform" and kernel.bandwidth < 1.0
                        and float(t_y).is_integer())
         if exact_match:
@@ -219,7 +267,7 @@ class BernoulliCountModel(Model):
             dist = stats.beta(a, b)
             return AnalyticOracle(
                 posterior_density=dist.pdf, cdf=dist.cdf,
-                posterior_mean=dist.mean(), posterior_variance=dist.var(),
+                moments=lambda: (dist.mean(), dist.var()),
             )
 
         def unnorm(th):
@@ -235,18 +283,21 @@ class BernoulliCountModel(Model):
 def _grid_oracle(unnorm, lo, hi, n_grid=50_001):
     """Quadrature-grade oracle from an unnormalized density on [lo, hi].
 
-    Normalization and moments use adaptive quadrature (abs tol 1e-9 target,
-    well below any Monte Carlo error in the test suite); the cdf is cumulative
-    trapezoid on a dense grid with interpolation.
+    The normalizer uses adaptive quadrature (abs tol 1e-9 target, well below
+    any Monte Carlo error in the test suite); the cdf is cumulative trapezoid
+    on a dense grid with interpolation.  The moments are two more quadratures,
+    run when first read.
     """
-    z, _ = integrate.quad(lambda x: float(unnorm(x)[0]), lo, hi, epsabs=1e-12, limit=400)
+    def quad(f):
+        return integrate.quad(f, lo, hi, epsabs=1e-12, limit=400)[0]
+
+    z = quad(lambda x: float(unnorm(x)[0]))
     if not z > 0:
         raise CapabilityError("oracle normalization failed: zero mass on the support")
-    m1, _ = integrate.quad(lambda x: x * float(unnorm(x)[0]), lo, hi, epsabs=1e-12, limit=400)
-    m2, _ = integrate.quad(lambda x: x * x * float(unnorm(x)[0]), lo, hi,
-                           epsabs=1e-12, limit=400)
-    mean = m1 / z
-    var = m2 / z - mean * mean
+
+    def moments():
+        mean = quad(lambda x: x * float(unnorm(x)[0])) / z
+        return mean, quad(lambda x: x * x * float(unnorm(x)[0])) / z - mean * mean
 
     grid = np.linspace(lo, hi, n_grid)
     dens = unnorm(grid) / z
@@ -261,7 +312,7 @@ def _grid_oracle(unnorm, lo, hi, n_grid=50_001):
         th = np.asarray(th, dtype=float)
         return np.interp(th, grid, cum, left=0.0, right=1.0)
 
-    return AnalyticOracle(density, cdf, mean, var)
+    return AnalyticOracle(density, cdf, moments)
 
 
 MODEL_NAMES = ("normal-mean", "bernoulli-count")

@@ -39,21 +39,24 @@ def _echo_lines(config_text):
 
 
 def write_samples_csv(path, columns, rows, config_text):
-    """UTF-8 CSV: '# '-prefixed config echo, header row, full-precision rows."""
+    """UTF-8 CSV: '# '-prefixed config echo, header row, full-precision rows.
+
+    Each cell is written as ``format_float`` writes it, integers and booleans
+    as integers.  The whole array is converted at once: the repr of a nested
+    list of Python floats or ints is exactly those cells joined by ", " and
+    "], [", which no float's or int's repr contains.
+    """
     rows = np.asarray(rows)
+    if rows.dtype.kind == "b":
+        rows = rows.astype(np.int64)
+    elif rows.dtype.kind not in "iu":
+        rows = rows.astype(float, copy=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_echo_lines(config_text))
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(cell) for cell in row) + "\n")
-
-
-def _format_cell(cell):
-    if isinstance(cell, (bool, np.bool_)):
-        return "1" if cell else "0"
-    if isinstance(cell, (int, np.integer)):
-        return str(int(cell))
-    return format_float(cell)
+        if len(rows):
+            body = repr(rows.tolist())[2:-2].replace("], [", "\n").replace(", ", ",")
+            fh.write(body + "\n")
 
 
 def read_samples_csv(path):

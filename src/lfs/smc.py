@@ -293,7 +293,8 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
     ess_threshold : float in (0, 1]
         Resample whenever ESS < ess_threshold * N.
     on_mutation : callable, optional
-        Called with each joint-move step's ``MoveRecord``.
+        Called with each joint-move step's ``MoveRecord``.  The backward
+        variant makes no MH move, so passing it there is a ConfigurationError.
     """
     if isinstance(variant, str):
         variant = SmcVariantSpec(variant)
@@ -303,6 +304,8 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
         raise ConfigurationError("S must be >= 1")
     if not 0.0 < ess_threshold <= 1.0:
         raise ConfigurationError("ess_threshold must lie in (0, 1]")
+    if on_mutation is not None and variant.kind != JOINT_MCMC_MOVE:
+        raise ConfigurationError("on_mutation records MH moves; only joint-move SMC makes them")
     mutation = mutation.resolved(model)
     hs = schedule.values
 

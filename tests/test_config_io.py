@@ -7,8 +7,8 @@ import pytest
 from lfs.config import RunConfig
 from lfs.diagnostics import weighted_moments
 from lfs.errors import ConfigurationError
-from lfs.output import (embedded_config, read_samples_csv, write_json_summary,
-                        write_samples_csv)
+from lfs.output import (embedded_config, format_float, read_samples_csv,
+                        write_json_summary, write_samples_csv)
 
 
 def test_config_round_trip_identity():
@@ -141,3 +141,75 @@ def test_diagnostics_recomputable_from_csv(tmp_path):
     summary = json.loads((tmp_path / "chain.summary.json").read_text())
     assert abs(mean[0] - summary["posterior_mean"][0]) < 1e-12
     assert abs(var[0] - summary["posterior_variance"][0]) < 1e-12
+
+
+def _per_cell_csv(path, columns, rows, config_text):
+    """The per-cell CSV writer, kept as the reference for the bulk one."""
+    def cell_text(cell):
+        if isinstance(cell, (bool, np.bool_)):
+            return "1" if cell else "0"
+        if isinstance(cell, (int, np.integer)):
+            return str(int(cell))
+        return format_float(cell)
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(f"# {line}\n" for line in config_text.splitlines()))
+        fh.write(",".join(columns) + "\n")
+        for row in np.asarray(rows):
+            fh.write(",".join(cell_text(cell) for cell in row) + "\n")
+
+
+def test_csv_writer_matches_per_cell_reference(tmp_path):
+    edge = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16, 1e22,
+                     -1e22, 1.0, -3.0, 0.1 + 0.2, 1.7976931348623157e308, 123456789.0,
+                     2.5e-8, 1e-5, 1e15 + 0.5])
+    with np.errstate(over="ignore"):
+        float32 = edge.astype(np.float32).reshape(-1, 3)  # the largest double -> inf
+    cases = {
+        "float": edge.reshape(-1, 2),
+        "one-column": edge.reshape(-1, 1),
+        "one-row": edge.reshape(1, -1),
+        "float32": float32,
+        "int": np.array([[0, -1, 7], [2**62, -(2**63), 12]], dtype=np.int64),
+        "uint8": np.arange(6, dtype=np.uint8).reshape(3, 2),
+        "bool": np.array([[True, False], [False, True], [True, True]]),
+        "mixed-columns": np.column_stack([np.arange(4), edge[:4], np.ones(4, dtype=bool)]),
+        "no-rows": np.empty((0, 3)),
+    }
+    text = "[run]\nseed = 1\n"
+    for name, rows in cases.items():
+        columns = [f"c{j}" for j in range(rows.shape[1])]
+        write_samples_csv(tmp_path / "bulk.csv", columns, rows, text)
+        _per_cell_csv(tmp_path / "ref.csv", columns, rows, text)
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
+
+
+def test_cli_runs_give_the_same_bytes_from_a_cold_or_a_shared_oracle(tmp_path, monkeypatch):
+    # grid-oracle targets (normal-mean, epanechnikov) at two bandwidths: the
+    # SMC oracle sits at its final bandwidth, the rejection oracle at --h
+    from lfs import cli, models
+
+    argvs = {
+        "reject": ["reject", "--kernel", "epanechnikov", "--h", "1.0", "--t-y", "0.4",
+                   "--n-accept", "200", "--seed", "8", "--out", "s.csv"],
+        "smc": ["smc", "--kernel", "epanechnikov", "--t-y", "0.4", "--h-start", "2",
+                "--h-end", "0.5", "--steps", "4", "--particles", "150", "--seed", "8",
+                "--out", "s.csv"],
+    }
+
+    def run(name, label):
+        out_dir = tmp_path / label
+        out_dir.mkdir()
+        monkeypatch.setenv("LFS_OUT_DIR", str(out_dir))
+        assert cli.main(argvs[name]) == 0
+        return [(out_dir / f).read_bytes() for f in ("s.csv", "s.summary.json")]
+
+    monkeypatch.setattr(models, "_ORACLES", {})
+    cold = {"reject": run("reject", "reject-cold")}
+    models._ORACLES.clear()
+    cold["smc"] = run("smc", "smc-cold")
+    # the table now holds the SMC oracle only
+    assert run("reject", "reject-1") == cold["reject"]
+    assert run("smc", "smc-1") == cold["smc"]
+    assert run("reject", "reject-2") == cold["reject"]
+    assert len(models._ORACLES) == 2

@@ -1,11 +1,15 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from lfs import models
 from lfs.errors import CapabilityError, ConfigurationError, DomainError
-from lfs.kernels import SmoothingKernel
+from lfs.kernels import SmoothingKernel, SummaryDistance
 from lfs.mcmc import ProposalSpec
 from lfs.models import BernoulliCountModel, NormalMeanModel, make_model
 from lfs.rng import substream
@@ -230,6 +234,144 @@ def test_oracle_capability_error():
 
     with pytest.raises(CapabilityError):
         Plain().oracle(0.0, SmoothingKernel("gaussian", 1.0))
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """A fresh oracle table for the test, so every first request is a cold build."""
+    table = {}
+    monkeypatch.setattr(models, "_ORACLES", table)
+    return table
+
+
+def _eager_grid_moments(unnorm, lo, hi):
+    """(mean, variance) computed as the grid oracle once did when built: three quads."""
+    def quad(f):
+        return integrate.quad(f, lo, hi, epsabs=1e-12, limit=400)[0]
+
+    z = quad(lambda x: float(unnorm(x)[0]))
+    m1 = quad(lambda x: x * float(unnorm(x)[0]))
+    m2 = quad(lambda x: x * x * float(unnorm(x)[0]))
+    mean = m1 / z
+    return mean, m2 / z - mean * mean
+
+
+def test_oracle_memo_returns_the_same_oracle_for_equal_targets(empty_memo):
+    a = NormalMeanModel(tau=1.5).oracle(0.3, SmoothingKernel("epanechnikov", 0.8))
+    b = make_model("normal-mean", tau=1.5).oracle(np.array([0.3]),
+                                                  SmoothingKernel("epanechnikov", 0.8))
+    assert a is b
+    assert len(empty_memo) == 1
+    with pytest.raises(AttributeError):
+        a.cdf = None
+    with pytest.raises(AttributeError):
+        del a.posterior_density
+
+
+def test_oracle_memo_key_covers_every_target_part(empty_memo):
+    targets = {
+        "base": (NormalMeanModel(), 0.3, SmoothingKernel("epanechnikov", 0.8)),
+        "bandwidth": (NormalMeanModel(), 0.3, SmoothingKernel("epanechnikov", 0.9)),
+        "t_y": (NormalMeanModel(), 0.4, SmoothingKernel("epanechnikov", 0.8)),
+        "kind": (NormalMeanModel(), 0.3, SmoothingKernel("uniform", 0.8)),
+        "tau": (NormalMeanModel(tau=1.5), 0.3, SmoothingKernel("epanechnikov", 0.8)),
+        "bernoulli": (BernoulliCountModel(20), 6.0, SmoothingKernel("epanechnikov", 1.5)),
+        "trials": (BernoulliCountModel(21), 6.0, SmoothingKernel("epanechnikov", 1.5)),
+        "norm": (BernoulliCountModel(20), 6.0, SmoothingKernel(
+            "epanechnikov", 1.5, SummaryDistance("weighted-euclidean", [2.0]))),
+        "weights": (BernoulliCountModel(20), 6.0, SmoothingKernel(
+            "epanechnikov", 1.5, SummaryDistance("weighted-euclidean", [3.0]))),
+    }
+    grid = np.linspace(0.0, 1.0, 101)
+    oracles = {}
+    for name, (model, t_y, kernel) in targets.items():
+        oracles[name] = model.oracle(t_y, kernel)
+        # each target gets the oracle a cold build gives, never another target's
+        cold = model._build_oracle(t_y, kernel)
+        assert np.array_equal(oracles[name].cdf(grid), cold.cdf(grid)), name
+        assert model.oracle(t_y, kernel) is oracles[name], name
+    assert len({id(o) for o in oracles.values()}) == len(targets)
+
+
+def test_oracle_memo_holds_at_most_eight_oracles(empty_memo):
+    model = NormalMeanModel()
+    kernel = SmoothingKernel("gaussian", 1.0)
+    first = model.oracle(0.0, kernel)
+    for i in range(1, 12):
+        last = model.oracle(float(i), kernel)
+        assert len(empty_memo) <= models.ORACLE_MEMO_SIZE == 8
+    assert model.oracle(11.0, kernel) is last
+    assert model.oracle(0.0, kernel) is not first  # the oldest was evicted
+
+
+def test_oracle_memo_shared_by_threads(empty_memo):
+    # more threads than cores ask for the same six targets; each build sleeps,
+    # so without the table's lock several threads would build one target
+    builds = []
+
+    class SlowBuild(NormalMeanModel):
+        def _build_oracle(self, t_y, kernel):
+            builds.append(kernel.bandwidth)
+            time.sleep(1e-3)
+            return super()._build_oracle(t_y, kernel)
+
+    model = SlowBuild()
+    kernels = [SmoothingKernel("gaussian", 0.5 + 0.1 * i) for i in range(6)]
+    seen = [[] for _ in kernels]
+
+    def work(offset):
+        for i in range(60):
+            j = (i + offset) % len(kernels)
+            seen[j].append(model.oracle(0.0, kernels[j]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(builds) == sorted(k.bandwidth for k in kernels)
+    assert all(len(got) == 80 and len(set(map(id, got))) == 1 for got in seen)
+    assert len(empty_memo) == len(kernels)
+
+
+def test_grid_oracle_builds_with_one_quad_and_moments_on_read(empty_memo, monkeypatch):
+    calls = []
+    quad = integrate.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(models.integrate, "quad", counting_quad)
+    normal, bern = NormalMeanModel(), BernoulliCountModel(20)
+    cases = [
+        (normal, 0.3, SmoothingKernel("epanechnikov", 0.8), -12.0, 12.3),
+        (bern, 6.0, SmoothingKernel("gaussian", 1.0), 0.0, 1.0),
+    ]
+    for model, t_y, kernel, lo, hi in cases:
+        calls.clear()
+        oracle = model.oracle(t_y, kernel)
+        assert len(calls) == 1  # cold: the normalizer only
+        assert model.oracle(t_y, kernel) is oracle and len(calls) == 1  # warm: none
+        mean, var = oracle.posterior_mean, oracle.posterior_variance
+        assert len(calls) == 3
+        assert oracle.posterior_mean == mean and len(calls) == 3  # read once
+
+        def unnorm(th, model=model, t_y=t_y, kernel=kernel):
+            th = np.atleast_1d(np.asarray(th, dtype=float))
+            loglik = model.smoothed_loglik(th, t_y, kernel)
+            if isinstance(model, NormalMeanModel):
+                loglik = loglik + stats.norm.logpdf(th, 0.0, 1.0)
+            return np.exp(loglik)
+
+        ref_mean, ref_var = _eager_grid_moments(unnorm, lo, hi)
+        assert (mean, var) == (ref_mean, ref_var)  # bit for bit
 
 
 def test_make_model_registry():

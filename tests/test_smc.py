@@ -373,6 +373,16 @@ def test_joint_move_records_replay_through_mh_step():
         assert np.array_equal(accepted, rec.accepted)
 
 
+def test_backward_rejects_on_mutation(model, kernel):
+    # the backward step makes no MH move, so a recorder would never be called
+    records = []
+    schedule = BandwidthSchedule.geometric(2.0, 0.5, 4)
+    with pytest.raises(ConfigurationError, match="on_mutation"):
+        run_smc(model, kernel, schedule, 1, 100, BACKWARD_KERNEL, ProposalSpec(),
+                seed=5, t_y=0.0, on_mutation=records.append)
+    assert records == []
+
+
 def test_single_step_schedule_matches_rejection_target(model, kernel):
     # a one-step run is a prior-weighted importance sample with weights
     # proportional to the pooled kernel; resampling it must be
