@@ -17,7 +17,6 @@ known target.
 
 import functools
 import math
-import threading
 
 import numpy as np
 from scipy import integrate, stats
@@ -34,20 +33,13 @@ class AnalyticOracle:
     Callables are vectorized over theta.  ``posterior_density`` integrates to
     one; ``cdf`` is non-decreasing from 0 to 1.  ``moments()`` returns
     (mean, variance) and runs only when ``posterior_mean`` or
-    ``posterior_variance`` is first read.  Instances are read-only, so one
-    oracle can be shared by every caller that asks for the same target.
+    ``posterior_variance`` is first read.
     """
 
     def __init__(self, posterior_density, cdf, moments):
-        object.__setattr__(self, "posterior_density", posterior_density)
-        object.__setattr__(self, "cdf", cdf)
-        object.__setattr__(self, "_moments_fn", moments)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"AnalyticOracle is read-only (cannot set {name!r})")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"AnalyticOracle is read-only (cannot delete {name!r})")
+        self.posterior_density = posterior_density
+        self.cdf = cdf
+        self._moments_fn = moments
 
     @functools.cached_property
     def _moments(self):
@@ -61,12 +53,6 @@ class AnalyticOracle:
     @property
     def posterior_variance(self):
         return self._moments[1]
-
-
-# Oracles built in this process, oldest first, keyed by target (Model.oracle).
-ORACLE_MEMO_SIZE = 8
-_ORACLES = {}
-_ORACLES_LOCK = threading.RLock()
 
 
 class Model:
@@ -101,28 +87,6 @@ class Model:
         raise NotImplementedError
 
     def oracle(self, t_y, kernel):
-        """The smoothed marginal posterior given observed summary t_y under ``kernel``.
-
-        Built once per process for each (model class, hyperparameters, t_y,
-        kernel kind, bandwidth, distance) and shared; the table keeps the
-        ``ORACLE_MEMO_SIZE`` most recently built oracles.  Safe to call from
-        several threads.
-        """
-        t_y = float(np.asarray(t_y).reshape(()))
-        weights = kernel.distance.weights
-        key = (type(self), tuple(sorted(self.hyperparameters().items())), t_y,
-               kernel.kind, kernel.bandwidth, kernel.distance.norm,
-               None if weights is None else tuple(weights.tolist()))
-        with _ORACLES_LOCK:
-            oracle = _ORACLES.get(key)
-            if oracle is None:
-                oracle = self._build_oracle(t_y, kernel)
-                if len(_ORACLES) >= ORACLE_MEMO_SIZE:
-                    del _ORACLES[next(iter(_ORACLES))]
-                _ORACLES[key] = oracle
-        return oracle
-
-    def _build_oracle(self, t_y, kernel):
         raise CapabilityError(f"model {self.name!r} has no analytic oracle")
 
     def hyperparameters(self):
@@ -195,7 +159,8 @@ class NormalMeanModel(Model):
         with np.errstate(divide="ignore"):
             return np.log(out)
 
-    def _build_oracle(self, t_y, kernel):
+    def oracle(self, t_y, kernel):
+        t_y = float(np.asarray(t_y).reshape(()))
         if kernel.kind == "gaussian":
             lik_var = self.tau**2 + kernel.bandwidth**2
             prec = 1.0 / self._prior_sd**2 + 1.0 / lik_var
@@ -250,16 +215,23 @@ class BernoulliCountModel(Model):
                             size=(*th.shape[:-1], n, 1)).astype(float)
 
     def smoothed_loglik(self, thetas, t_y, kernel):
-        """log sum_t K_h(t_y - t) f(t|theta) over the finite summary support."""
+        """log sum_t K_h(t_y - t) f(t|theta) over the finite summary support.
+
+        The pmf is evaluated only where the kernel weight is nonzero; the other
+        rows stay 0, so each of their terms is the same +0 as before.
+        """
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         t_y = float(np.asarray(t_y).reshape(()))
         ts = np.arange(self.trials + 1, dtype=float)
         kvals = kernel.evaluate((t_y - ts)[:, np.newaxis])
-        pmf = stats.binom.pmf(ts[:, np.newaxis], self.trials, thetas[np.newaxis, :])
+        near = kvals != 0.0
+        pmf = np.zeros((ts.size, thetas.size))
+        pmf[near] = stats.binom.pmf(ts[near, np.newaxis], self.trials, thetas[np.newaxis, :])
         with np.errstate(divide="ignore"):
             return np.log(kvals @ pmf)
 
-    def _build_oracle(self, t_y, kernel):
+    def oracle(self, t_y, kernel):
+        t_y = float(np.asarray(t_y).reshape(()))
         exact_match = (kernel.kind == "uniform" and kernel.bandwidth < 1.0
                        and float(t_y).is_integer())
         if exact_match:

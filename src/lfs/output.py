@@ -15,6 +15,7 @@ from . import __version__
 from .config import RunConfig
 
 CONFIG_PREFIX = "# "
+_CSV_BLOCK_ROWS = 64
 
 
 def format_float(x):
@@ -42,9 +43,10 @@ def write_samples_csv(path, columns, rows, config_text):
     """UTF-8 CSV: '# '-prefixed config echo, header row, full-precision rows.
 
     Each cell is written as ``format_float`` writes it, integers and booleans
-    as integers.  The whole array is converted at once: the repr of a nested
+    as integers.  Rows are converted a block at a time: the repr of a nested
     list of Python floats or ints is exactly those cells joined by ", " and
-    "], [", which no float's or int's repr contains.
+    "], [", which no float's or int's repr contains.  The block bounds the
+    memory the text takes.
     """
     rows = np.asarray(rows)
     if rows.dtype.kind == "b":
@@ -54,9 +56,9 @@ def write_samples_csv(path, columns, rows, config_text):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_echo_lines(config_text))
         fh.write(",".join(columns) + "\n")
-        if len(rows):
-            body = repr(rows.tolist())[2:-2].replace("], [", "\n").replace(", ", ",")
-            fh.write(body + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = repr(rows[start:start + _CSV_BLOCK_ROWS].tolist())[2:-2]
+            fh.write(block.replace("], [", "\n").replace(", ", ",") + "\n")
 
 
 def read_samples_csv(path):

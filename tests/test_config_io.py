@@ -175,6 +175,8 @@ def test_csv_writer_matches_per_cell_reference(tmp_path):
         "bool": np.array([[True, False], [False, True], [True, True]]),
         "mixed-columns": np.column_stack([np.arange(4), edge[:4], np.ones(4, dtype=bool)]),
         "no-rows": np.empty((0, 3)),
+        "blocks": np.random.default_rng(3).normal(size=(600, 3)),  # more rows than one block
+        "whole-blocks": np.arange(1024, dtype=float).reshape(512, 2) / 7.0,
     }
     text = "[run]\nseed = 1\n"
     for name, rows in cases.items():
@@ -183,33 +185,3 @@ def test_csv_writer_matches_per_cell_reference(tmp_path):
         _per_cell_csv(tmp_path / "ref.csv", columns, rows, text)
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
 
-
-def test_cli_runs_give_the_same_bytes_from_a_cold_or_a_shared_oracle(tmp_path, monkeypatch):
-    # grid-oracle targets (normal-mean, epanechnikov) at two bandwidths: the
-    # SMC oracle sits at its final bandwidth, the rejection oracle at --h
-    from lfs import cli, models
-
-    argvs = {
-        "reject": ["reject", "--kernel", "epanechnikov", "--h", "1.0", "--t-y", "0.4",
-                   "--n-accept", "200", "--seed", "8", "--out", "s.csv"],
-        "smc": ["smc", "--kernel", "epanechnikov", "--t-y", "0.4", "--h-start", "2",
-                "--h-end", "0.5", "--steps", "4", "--particles", "150", "--seed", "8",
-                "--out", "s.csv"],
-    }
-
-    def run(name, label):
-        out_dir = tmp_path / label
-        out_dir.mkdir()
-        monkeypatch.setenv("LFS_OUT_DIR", str(out_dir))
-        assert cli.main(argvs[name]) == 0
-        return [(out_dir / f).read_bytes() for f in ("s.csv", "s.summary.json")]
-
-    monkeypatch.setattr(models, "_ORACLES", {})
-    cold = {"reject": run("reject", "reject-cold")}
-    models._ORACLES.clear()
-    cold["smc"] = run("smc", "smc-cold")
-    # the table now holds the SMC oracle only
-    assert run("reject", "reject-1") == cold["reject"]
-    assert run("smc", "smc-1") == cold["smc"]
-    assert run("reject", "reject-2") == cold["reject"]
-    assert len(models._ORACLES) == 2

@@ -1,7 +1,4 @@
 import math
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -9,7 +6,7 @@ from scipy import integrate, stats
 
 from lfs import models
 from lfs.errors import CapabilityError, ConfigurationError, DomainError
-from lfs.kernels import SmoothingKernel, SummaryDistance
+from lfs.kernels import SmoothingKernel
 from lfs.mcmc import ProposalSpec
 from lfs.models import BernoulliCountModel, NormalMeanModel, make_model
 from lfs.rng import substream
@@ -236,14 +233,6 @@ def test_oracle_capability_error():
         Plain().oracle(0.0, SmoothingKernel("gaussian", 1.0))
 
 
-@pytest.fixture
-def empty_memo(monkeypatch):
-    """A fresh oracle table for the test, so every first request is a cold build."""
-    table = {}
-    monkeypatch.setattr(models, "_ORACLES", table)
-    return table
-
-
 def _eager_grid_moments(unnorm, lo, hi):
     """(mean, variance) computed as the grid oracle once did when built: three quads."""
     def quad(f):
@@ -256,91 +245,7 @@ def _eager_grid_moments(unnorm, lo, hi):
     return mean, m2 / z - mean * mean
 
 
-def test_oracle_memo_returns_the_same_oracle_for_equal_targets(empty_memo):
-    a = NormalMeanModel(tau=1.5).oracle(0.3, SmoothingKernel("epanechnikov", 0.8))
-    b = make_model("normal-mean", tau=1.5).oracle(np.array([0.3]),
-                                                  SmoothingKernel("epanechnikov", 0.8))
-    assert a is b
-    assert len(empty_memo) == 1
-    with pytest.raises(AttributeError):
-        a.cdf = None
-    with pytest.raises(AttributeError):
-        del a.posterior_density
-
-
-def test_oracle_memo_key_covers_every_target_part(empty_memo):
-    targets = {
-        "base": (NormalMeanModel(), 0.3, SmoothingKernel("epanechnikov", 0.8)),
-        "bandwidth": (NormalMeanModel(), 0.3, SmoothingKernel("epanechnikov", 0.9)),
-        "t_y": (NormalMeanModel(), 0.4, SmoothingKernel("epanechnikov", 0.8)),
-        "kind": (NormalMeanModel(), 0.3, SmoothingKernel("uniform", 0.8)),
-        "tau": (NormalMeanModel(tau=1.5), 0.3, SmoothingKernel("epanechnikov", 0.8)),
-        "bernoulli": (BernoulliCountModel(20), 6.0, SmoothingKernel("epanechnikov", 1.5)),
-        "trials": (BernoulliCountModel(21), 6.0, SmoothingKernel("epanechnikov", 1.5)),
-        "norm": (BernoulliCountModel(20), 6.0, SmoothingKernel(
-            "epanechnikov", 1.5, SummaryDistance("weighted-euclidean", [2.0]))),
-        "weights": (BernoulliCountModel(20), 6.0, SmoothingKernel(
-            "epanechnikov", 1.5, SummaryDistance("weighted-euclidean", [3.0]))),
-    }
-    grid = np.linspace(0.0, 1.0, 101)
-    oracles = {}
-    for name, (model, t_y, kernel) in targets.items():
-        oracles[name] = model.oracle(t_y, kernel)
-        # each target gets the oracle a cold build gives, never another target's
-        cold = model._build_oracle(t_y, kernel)
-        assert np.array_equal(oracles[name].cdf(grid), cold.cdf(grid)), name
-        assert model.oracle(t_y, kernel) is oracles[name], name
-    assert len({id(o) for o in oracles.values()}) == len(targets)
-
-
-def test_oracle_memo_holds_at_most_eight_oracles(empty_memo):
-    model = NormalMeanModel()
-    kernel = SmoothingKernel("gaussian", 1.0)
-    first = model.oracle(0.0, kernel)
-    for i in range(1, 12):
-        last = model.oracle(float(i), kernel)
-        assert len(empty_memo) <= models.ORACLE_MEMO_SIZE == 8
-    assert model.oracle(11.0, kernel) is last
-    assert model.oracle(0.0, kernel) is not first  # the oldest was evicted
-
-
-def test_oracle_memo_shared_by_threads(empty_memo):
-    # more threads than cores ask for the same six targets; each build sleeps,
-    # so without the table's lock several threads would build one target
-    builds = []
-
-    class SlowBuild(NormalMeanModel):
-        def _build_oracle(self, t_y, kernel):
-            builds.append(kernel.bandwidth)
-            time.sleep(1e-3)
-            return super()._build_oracle(t_y, kernel)
-
-    model = SlowBuild()
-    kernels = [SmoothingKernel("gaussian", 0.5 + 0.1 * i) for i in range(6)]
-    seen = [[] for _ in kernels]
-
-    def work(offset):
-        for i in range(60):
-            j = (i + offset) % len(kernels)
-            seen[j].append(model.oracle(0.0, kernels[j]))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert sorted(builds) == sorted(k.bandwidth for k in kernels)
-    assert all(len(got) == 80 and len(set(map(id, got))) == 1 for got in seen)
-    assert len(empty_memo) == len(kernels)
-
-
-def test_grid_oracle_builds_with_one_quad_and_moments_on_read(empty_memo, monkeypatch):
+def test_grid_oracle_builds_with_one_quad_and_moments_on_read(monkeypatch):
     calls = []
     quad = integrate.quad
 
@@ -357,8 +262,7 @@ def test_grid_oracle_builds_with_one_quad_and_moments_on_read(empty_memo, monkey
     for model, t_y, kernel, lo, hi in cases:
         calls.clear()
         oracle = model.oracle(t_y, kernel)
-        assert len(calls) == 1  # cold: the normalizer only
-        assert model.oracle(t_y, kernel) is oracle and len(calls) == 1  # warm: none
+        assert len(calls) == 1  # the normalizer only
         mean, var = oracle.posterior_mean, oracle.posterior_variance
         assert len(calls) == 3
         assert oracle.posterior_mean == mean and len(calls) == 3  # read once
@@ -372,6 +276,31 @@ def test_grid_oracle_builds_with_one_quad_and_moments_on_read(empty_memo, monkey
 
         ref_mean, ref_var = _eager_grid_moments(unnorm, lo, hi)
         assert (mean, var) == (ref_mean, ref_var)  # bit for bit
+
+
+def test_bernoulli_smoothed_loglik_skips_zero_kernel_terms_bit_for_bit(monkeypatch):
+    model = BernoulliCountModel(20)
+    ts = np.arange(21, dtype=float)
+    thetas = np.concatenate([np.linspace(0.0, 1.0, 2001), [1e-300, 0.5 + 1e-16]])
+    pmf = stats.binom.pmf
+    rows = []
+
+    def counting_pmf(k, n, p):
+        rows.append(np.size(k))
+        return pmf(k, n, p)
+
+    monkeypatch.setattr(stats.binom, "pmf", counting_pmf)
+    for kind, h, t_y in [("epanechnikov", 0.25, 7.0), ("epanechnikov", 1.5, 7.0),
+                         ("epanechnikov", 0.3, 0.0), ("uniform", 0.5, 6.5),
+                         ("uniform", 3.7, 20.0), ("gaussian", 1.0, 7.0)]:
+        kernel = SmoothingKernel(kind, h)
+        kvals = kernel.evaluate((t_y - ts)[:, np.newaxis])
+        with np.errstate(divide="ignore"):
+            full = np.log(kvals @ pmf(ts[:, np.newaxis], 20, thetas[np.newaxis, :]))
+        rows.clear()
+        got = model.smoothed_loglik(thetas, t_y, kernel)
+        assert rows == [np.count_nonzero(kvals)], (kind, h, t_y)
+        assert got.tobytes() == full.tobytes(), (kind, h, t_y)
 
 
 def test_make_model_registry():
