@@ -19,12 +19,39 @@ import functools
 import math
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from .errors import CapabilityError, ConfigurationError, DomainError
 from .kernels import _LOG_SQRT_2PI
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+# scipy.stats.norm's own constants and arithmetic, without its per-call
+# argument checks and copies: each formula gives the bits the matching
+# stats.norm method gives.
+_NORM_C = np.sqrt(2 * np.pi)
+_NORM_LOG_C = np.log(_NORM_C)
+
+
+def _norm_z(x, loc, scale):
+    return (np.asarray(x, dtype=float) - loc) / scale
+
+
+def _norm_pdf(x, loc=0.0, scale=1.0):
+    """``stats.norm.pdf(x, loc, scale)``, bit for bit."""
+    z = _norm_z(x, loc, scale)
+    return np.exp(-z**2 / 2.0) / _NORM_C / scale
+
+
+def _norm_logpdf(x, loc=0.0, scale=1.0):
+    """``stats.norm.logpdf(x, loc, scale)``, bit for bit."""
+    z = _norm_z(x, loc, scale)
+    return (-z**2 / 2.0 - _NORM_LOG_C) - np.log(scale)
+
+
+def _norm_cdf(x, loc=0.0, scale=1.0):
+    """``stats.norm.cdf(x, loc, scale)``, bit for bit."""
+    return special.ndtr(_norm_z(x, loc, scale))
 
 
 class AnalyticOracle:
@@ -147,15 +174,25 @@ class NormalMeanModel(Model):
             s2 = tau * tau + h * h
             return -0.5 * (t_y - thetas) ** 2 / s2 - 0.5 * math.log(2.0 * math.pi * s2)
         if kernel.kind == "uniform":
-            hi = stats.norm.cdf((t_y + h - thetas) / tau)
-            lo = stats.norm.cdf((t_y - h - thetas) / tau)
+            hi = _norm_cdf((t_y + h - thetas) / tau)
+            lo = _norm_cdf((t_y - h - thetas) / tau)
             with np.errstate(divide="ignore"):
                 return np.log(np.maximum(hi - lo, 0.0)) - math.log(2.0 * h)
         # epanechnikov: integrate K_h(u) phi(t_y - u; theta, tau) over u in [-h, h]
         u = h * _GL_NODES
         kern = 0.75 / h * (1.0 - (u / h) ** 2)
-        vals = stats.norm.pdf(t_y - u[:, np.newaxis], thetas[np.newaxis, :], tau)
-        out = (h * _GL_WEIGHTS) @ (kern[:, np.newaxis] * vals)
+        # kern * _norm_pdf(t_y - u, thetas, tau), step for step in one buffer
+        vals = np.subtract((t_y - u)[:, np.newaxis], thetas)
+        vals /= tau
+        np.square(vals, out=vals)
+        np.negative(vals, out=vals)
+        vals /= 2.0
+        np.exp(vals, out=vals)
+        vals /= _NORM_C
+        vals /= tau
+        vals *= kern[:, np.newaxis]
+        # one product over the whole matrix: splitting it changes the sum's bits
+        out = (h * _GL_WEIGHTS) @ vals
         with np.errstate(divide="ignore"):
             return np.log(out)
 
@@ -168,8 +205,8 @@ class NormalMeanModel(Model):
             post_mean = post_var * (self.prior_mean / self._prior_sd**2 + t_y / lik_var)
             post_sd = math.sqrt(post_var)
             return AnalyticOracle(
-                posterior_density=lambda th: stats.norm.pdf(th, post_mean, post_sd),
-                cdf=lambda th: stats.norm.cdf(th, post_mean, post_sd),
+                posterior_density=lambda th: _norm_pdf(th, post_mean, post_sd),
+                cdf=lambda th: _norm_cdf(th, post_mean, post_sd),
                 moments=lambda: (post_mean, post_var),
             )
         lo = min(self.prior_mean, t_y) - 12.0 * self._prior_sd
@@ -177,7 +214,7 @@ class NormalMeanModel(Model):
 
         def unnorm(th):
             th = np.atleast_1d(np.asarray(th, dtype=float))
-            lp = stats.norm.logpdf(th, self.prior_mean, self._prior_sd)
+            lp = _norm_logpdf(th, self.prior_mean, self._prior_sd)
             return np.exp(lp + self.smoothed_loglik(th, t_y, kernel))
 
         return _grid_oracle(unnorm, lo, hi)

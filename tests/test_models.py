@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
 
 from lfs import models
@@ -276,6 +280,126 @@ def test_grid_oracle_builds_with_one_quad_and_moments_on_read(monkeypatch):
 
         ref_mean, ref_var = _eager_grid_moments(unnorm, lo, hi)
         assert (mean, var) == (ref_mean, ref_var)  # bit for bit
+
+
+# -- scipy-free normal formulas: the bits of stats.norm ----------------------
+
+_NORM_FORMULAS = (("pdf", models._norm_pdf), ("logpdf", models._norm_logpdf),
+                  ("cdf", models._norm_cdf))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_norm_formulas_match_scipy_bit_for_bit_at_edge_inputs():
+    tiny = 5e-324
+    x = np.array([-np.inf, np.inf, 0.0, -0.0, tiny, -tiny, 2e-310, 1e-300, 0.7,
+                  0.7 + 1e-16, 1.9, -3.0, 8.0, 38.5, 39.0, -40.0, 1e10, -1e150, 1e200])
+    locs_scales = [(0.0, 1.0), (0.7, 1.9), (-3.0, 0.45), (1e-310, 1.0),
+                   (2e-310, 3e-310), (0.0, 1e-300), (1e10, 1e-5)]
+    for name, formula in _NORM_FORMULAS:
+        scipy_fn = getattr(stats.norm, name)
+        for loc, scale in locs_scales:
+            with np.errstate(all="ignore"):
+                got, ref = formula(x, loc, scale), scipy_fn(x, loc, scale)
+            assert _same_bits(got, ref), (name, loc, scale)
+            for xi in (0.0, 0.7, -np.inf):
+                with np.errstate(all="ignore"):
+                    assert _same_bits(formula(xi, loc, scale), scipy_fn(xi, loc, scale))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(hnp.arrays(float, st.integers(1, 40), elements=st.floats(allow_nan=False, width=64)),
+       st.floats(-1e6, 1e6), st.floats(1e-6, 1e6))
+def test_norm_formulas_match_scipy_bit_for_bit(x, loc, scale):
+    for name, formula in _NORM_FORMULAS:
+        with np.errstate(all="ignore"):
+            assert _same_bits(formula(x, loc, scale), getattr(stats.norm, name)(x, loc, scale))
+
+
+def _scipy_smoothed_loglik(model, thetas, t_y, kernel):
+    """``NormalMeanModel.smoothed_loglik`` as written with scipy.stats.norm."""
+    thetas = np.asarray(thetas, dtype=float)
+    h, tau = kernel.bandwidth, model.tau
+    if kernel.kind == "gaussian":
+        s2 = tau * tau + h * h
+        return -0.5 * (t_y - thetas) ** 2 / s2 - 0.5 * math.log(2.0 * math.pi * s2)
+    if kernel.kind == "uniform":
+        hi = stats.norm.cdf((t_y + h - thetas) / tau)
+        lo = stats.norm.cdf((t_y - h - thetas) / tau)
+        with np.errstate(divide="ignore"):
+            return np.log(np.maximum(hi - lo, 0.0)) - math.log(2.0 * h)
+    u = h * models._GL_NODES
+    kern = 0.75 / h * (1.0 - (u / h) ** 2)
+    vals = stats.norm.pdf(t_y - u[:, np.newaxis], thetas[np.newaxis, :], tau)
+    with np.errstate(divide="ignore"):
+        return np.log((h * models._GL_WEIGHTS) @ (kern[:, np.newaxis] * vals))
+
+
+def _scipy_oracle(model, t_y, kernel):
+    """``NormalMeanModel.oracle`` as written with scipy.stats.norm."""
+    if kernel.kind == "gaussian":
+        lik_var = model.tau**2 + kernel.bandwidth**2
+        prec = 1.0 / model._prior_sd**2 + 1.0 / lik_var
+        post_var = 1.0 / prec
+        post_mean = post_var * (model.prior_mean / model._prior_sd**2 + t_y / lik_var)
+        post_sd = math.sqrt(post_var)
+        return models.AnalyticOracle(lambda th: stats.norm.pdf(th, post_mean, post_sd),
+                                     lambda th: stats.norm.cdf(th, post_mean, post_sd),
+                                     lambda: (post_mean, post_var))
+
+    def unnorm(th):
+        th = np.atleast_1d(np.asarray(th, dtype=float))
+        lp = stats.norm.logpdf(th, model.prior_mean, model._prior_sd)
+        return np.exp(lp + _scipy_smoothed_loglik(model, th, t_y, kernel))
+
+    lo = min(model.prior_mean, t_y) - 12.0 * model._prior_sd
+    hi = max(model.prior_mean, t_y) + 12.0 * model._prior_sd
+    return models._grid_oracle(unnorm, lo, hi)
+
+
+# tau, prior sd and prior mean away from 1, 1 and 0, so a misplaced
+# division by a scale or shift by a location changes the bits
+_SCALED_NORMAL = NormalMeanModel(prior_mean=0.6, prior_sd_value=1.7, tau=0.45)
+
+
+@pytest.mark.parametrize("kind, h, t_y", [("gaussian", 0.7, 0.9), ("uniform", 0.3, 0.9),
+                                          ("uniform", 2.5, -1.1),
+                                          ("epanechnikov", 0.1, 0.9),
+                                          ("epanechnikov", 1.3, -1.1)])
+def test_normal_mean_oracle_matches_the_scipy_code_bit_for_bit(kind, h, t_y):
+    model, kernel = _SCALED_NORMAL, SmoothingKernel(kind, h)
+    thetas = np.concatenate([np.linspace(-20.0, 20.0, 4001), [np.inf, -np.inf, 0.0]])
+    with np.errstate(all="ignore"):
+        assert _same_bits(model.smoothed_loglik(thetas, t_y, kernel),
+                          _scipy_smoothed_loglik(model, thetas, t_y, kernel))
+    got, ref = model.oracle(t_y, kernel), _scipy_oracle(model, t_y, kernel)
+    grid = np.linspace(-8.0, 10.0, 2001)
+    assert _same_bits(got.cdf(grid), ref.cdf(grid))
+    assert _same_bits(got.posterior_density(grid), ref.posterior_density(grid))
+    assert _same_bits(got.posterior_density(0.25), ref.posterior_density(0.25))
+    assert (got.posterior_mean, got.posterior_variance) == (ref.posterior_mean,
+                                                            ref.posterior_variance)
+
+
+def test_epanechnikov_oracle_build_is_small_and_calls_no_scipy_norm(monkeypatch):
+    # the 64-node x 50,001-point density matrix is one 24.4 MiB buffer; scipy's
+    # norm.pdf held about six such arrays at once (a 150 MiB peak)
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.stats.norm called while building the oracle")
+
+    for name in ("pdf", "logpdf", "cdf", "sf", "ppf"):
+        monkeypatch.setattr(stats.norm, name, refuse)
+    tracemalloc.start()
+    try:
+        oracle = NormalMeanModel().oracle(0.0, SmoothingKernel("epanechnikov", 0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20, f"oracle build peaked at {peak / 2**20:.1f} MiB"
+    assert oracle.cdf(0.0) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_bernoulli_smoothed_loglik_skips_zero_kernel_terms_bit_for_bit(monkeypatch):
