@@ -13,6 +13,9 @@ refuses to compare against any other.
 Regenerate only when a change sets out to alter an output stream:
 
     PYTHONPATH=src python tests/golden/regen.py
+
+Before writing, it lists every case whose exit code or file digests differ
+from the committed table, naming the files that moved.
 """
 
 import hashlib
@@ -131,12 +134,41 @@ def run_case(argv, work_dir):
     return code, files
 
 
+def changes(old_cases, new_cases):
+    """One line per new case whose exit code or files differ from its old record."""
+    old = {json.dumps(case["argv"]): case for case in old_cases}
+    lines = []
+    for case in new_cases:
+        before = old.get(json.dumps(case["argv"]))
+        if before is None:
+            lines.append(f"new case: {' '.join(case['argv'])}")
+            continue
+        files = sorted(name for name in set(case["files"]) | set(before["files"])
+                       if case["files"].get(name) != before["files"].get(name))
+        if files or case["exit"] != before["exit"]:
+            exit_note = ("" if case["exit"] == before["exit"]
+                         else f" exit {before['exit']} -> {case['exit']};")
+            lines.append(f"{' '.join(case['argv'])}:{exit_note} files {files}")
+    return lines
+
+
 def main():
     table = {"numpy": np.__version__, "cases": []}
     with tempfile.TemporaryDirectory() as tmp:
         for i, argv in enumerate(CASES):
             code, files = run_case(argv, os.path.join(tmp, f"case{i:02d}"))
             table["cases"].append({"argv": argv, "exit": code, "files": files})
+    old_cases = []
+    if os.path.exists(DIGESTS):
+        with open(DIGESTS, encoding="utf-8") as fh:
+            old = json.load(fh)
+        if old["numpy"] != table["numpy"]:
+            print(f"numpy {old['numpy']} -> {table['numpy']}", file=sys.stderr)
+        old_cases = old["cases"]
+    moved = changes(old_cases, table["cases"])
+    for line in moved:
+        print(line, file=sys.stderr)
+    print(f"{len(moved)} of {len(CASES)} cases changed", file=sys.stderr)
     with open(DIGESTS, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(table, fh, indent=1)
         fh.write("\n")

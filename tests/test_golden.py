@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from golden.regen import CASES, DIGESTS, run_case
+from golden.regen import CASES, DIGESTS, changes, run_case
 
 
 def test_golden_digests(tmp_path):
@@ -29,3 +29,16 @@ def test_golden_digests(tmp_path):
             changed.append(f"{' '.join(case['argv'])}: exit {code} (recorded "
                            f"{case['exit']}), differing files {differing}")
     assert not changed, "output changed:\n" + "\n".join(changed)
+
+
+def test_regen_lists_each_changed_case_and_its_moved_files():
+    old = [{"argv": ["a"], "exit": 0, "files": {"x.csv": "1", "x.json": "2"}},
+           {"argv": ["b"], "exit": 0, "files": {"y.csv": "3"}},
+           {"argv": ["c"], "exit": 0, "files": {"z.csv": "4"}}]
+    new = [{"argv": ["a"], "exit": 0, "files": {"x.csv": "9", "x.json": "2"}},
+           {"argv": ["b"], "exit": 0, "files": {"y.csv": "3"}},
+           {"argv": ["c"], "exit": 1, "files": {}},
+           {"argv": ["d"], "exit": 0, "files": {}}]
+    assert changes(old, new) == ["a: files ['x.csv']", "c: exit 0 -> 1; files ['z.csv']",
+                                 "new case: d"]
+    assert changes(old, old) == []
