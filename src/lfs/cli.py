@@ -182,9 +182,9 @@ def cmd_mcmc(args):
     path = out_path_for(cfg, args)
     columns = (["iteration"] + [f"theta_{j}" for j in range(out.thetas.shape[1])]
                + ["accepted", "log_num"])
-    rows = np.column_stack([out.iterations, out.thetas,
-                            out.accepted.astype(int), out.log_nums])
-    write_samples_csv(path, columns, rows, config_text)
+    rows = np.column_stack([out.iterations, out.thetas, out.accepted, out.log_nums])
+    write_samples_csv(path, columns, rows, config_text,
+                      int_columns=[0, columns.index("accepted")])
     summary = {
         "command": "mcmc",
         "variant": out.variant,
@@ -215,7 +215,7 @@ def cmd_smc(args):
     columns = (["particle"] + [f"theta_{j}" for j in range(out.thetas.shape[1])]
                + ["weight"])
     rows = np.column_stack([np.arange(out.thetas.shape[0]), out.thetas, out.weights])
-    write_samples_csv(path, columns, rows, config_text)
+    write_samples_csv(path, columns, rows, config_text, int_columns=[0])
     mean, var = weighted_moments(out.thetas, out.weights)
     summary = {
         "command": "smc",

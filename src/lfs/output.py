@@ -39,26 +39,34 @@ def _echo_lines(config_text):
     return "".join(f"{CONFIG_PREFIX}{line}\n" for line in config_text.splitlines())
 
 
-def write_samples_csv(path, columns, rows, config_text):
+def write_samples_csv(path, columns, rows, config_text, int_columns=()):
     """UTF-8 CSV: '# '-prefixed config echo, header row, full-precision rows.
 
     Each cell is written as ``format_float`` writes it, integers and booleans
-    as integers.  Rows are converted a block at a time: the repr of a nested
-    list of Python floats or ints is exactly those cells joined by ", " and
-    "], [", which no float's or int's repr contains.  The block bounds the
-    memory the text takes.
+    as integers, and so are the cells of the columns indexed by
+    ``int_columns``, which must hold integral values.  Rows are converted a
+    block at a time: the repr of a nested list of Python floats or ints is
+    exactly those cells joined by ", " and "], [", which no float's or int's
+    repr contains.  The block bounds the memory the text takes.
     """
     rows = np.asarray(rows)
     if rows.dtype.kind == "b":
         rows = rows.astype(np.int64)
     elif rows.dtype.kind not in "iu":
         rows = rows.astype(float, copy=False)
+    int_columns = list(int_columns)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_echo_lines(config_text))
         fh.write(",".join(columns) + "\n")
         for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = repr(rows[start:start + _CSV_BLOCK_ROWS].tolist())[2:-2]
-            fh.write(block.replace("], [", "\n").replace(", ", ",") + "\n")
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            if int_columns:
+                # an object block holds Python floats, and Python ints where asked
+                cells = block.astype(object)
+                cells[:, int_columns] = block[:, int_columns].astype(np.int64)
+                block = cells
+            text = repr(block.tolist())[2:-2]
+            fh.write(text.replace("], [", "\n").replace(", ", ",") + "\n")
 
 
 def read_samples_csv(path):

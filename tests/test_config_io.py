@@ -143,9 +143,11 @@ def test_diagnostics_recomputable_from_csv(tmp_path):
     assert abs(var[0] - summary["posterior_variance"][0]) < 1e-12
 
 
-def _per_cell_csv(path, columns, rows, config_text):
+def _per_cell_csv(path, columns, rows, config_text, int_columns=()):
     """The per-cell CSV writer, kept as the reference for the bulk one."""
-    def cell_text(cell):
+    def cell_text(cell, j):
+        if j in int_columns:
+            return str(int(cell))
         if isinstance(cell, (bool, np.bool_)):
             return "1" if cell else "0"
         if isinstance(cell, (int, np.integer)):
@@ -156,7 +158,7 @@ def _per_cell_csv(path, columns, rows, config_text):
         fh.write("".join(f"# {line}\n" for line in config_text.splitlines()))
         fh.write(",".join(columns) + "\n")
         for row in np.asarray(rows):
-            fh.write(",".join(cell_text(cell) for cell in row) + "\n")
+            fh.write(",".join(cell_text(cell, j) for j, cell in enumerate(row)) + "\n")
 
 
 def test_csv_writer_matches_per_cell_reference(tmp_path):
@@ -178,10 +180,20 @@ def test_csv_writer_matches_per_cell_reference(tmp_path):
         "blocks": np.random.default_rng(3).normal(size=(600, 3)),  # more rows than one block
         "whole-blocks": np.arange(1024, dtype=float).reshape(512, 2) / 7.0,
     }
+    # integral float columns written as integers, as the mcmc and smc rows are
+    n = 150  # more rows than one block
+    chain = np.column_stack([np.arange(1, n + 1), np.resize(edge, n),
+                             np.arange(n) % 3 == 0, np.linspace(-2.0, 3.0, n)])
+    int_cases = {
+        "int-columns": (chain, [0, 2]),
+        "int-first-column": (np.column_stack([np.arange(n), np.resize(edge, n)]), [0]),
+        "int-last-column": (np.column_stack([edge[:8], np.arange(-4.0, 4.0)]), [1]),
+    }
     text = "[run]\nseed = 1\n"
-    for name, rows in cases.items():
+    for name, (rows, int_columns) in ({k: (v, []) for k, v in cases.items()}
+                                       | int_cases).items():
         columns = [f"c{j}" for j in range(rows.shape[1])]
-        write_samples_csv(tmp_path / "bulk.csv", columns, rows, text)
-        _per_cell_csv(tmp_path / "ref.csv", columns, rows, text)
+        write_samples_csv(tmp_path / "bulk.csv", columns, rows, text, int_columns)
+        _per_cell_csv(tmp_path / "ref.csv", columns, rows, text, int_columns)
         assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
 
