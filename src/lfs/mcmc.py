@@ -105,16 +105,18 @@ class McmcOutput:
     seed: int
 
 
-def _simulated_state(theta, model, kernel, t_y, S, rng):
-    bundle = simulate_checked(model, theta, S, rng)
+def _simulated_state(theta, model, kernel, t_y, S, rng, stream=None, iteration=None):
+    bundle = simulate_checked(model, theta, S, rng, stream, iteration)
     log_num = joint_logdensity_unnorm(theta, bundle, t_y, kernel, model)
     return AugmentedState(theta, bundle, log_num)
 
 
-def initialize_chain(model, kernel, t_y, S, rng, init=None, init_budget=100_000):
+def initialize_chain(model, kernel, t_y, S, rng, init=None, init_budget=100_000,
+                     stream=None):
     """Draw a starting state with nonzero pooled kernel (budgeted).
 
     With ``init`` the parameter is fixed and only its bundle is redrawn.
+    ``stream`` is the ``(seed, *path)`` of ``rng``, named by simulator errors.
     """
     if init is not None:
         init = np.atleast_1d(np.asarray(init, dtype=float))
@@ -122,7 +124,7 @@ def initialize_chain(model, kernel, t_y, S, rng, init=None, init_budget=100_000)
             raise DomainError(f"init theta={init} outside the prior's support")
     for _ in range(init_budget):
         theta = model.prior_sample(rng) if init is None else init
-        state = _simulated_state(theta, model, kernel, t_y, S, rng)
+        state = _simulated_state(theta, model, kernel, t_y, S, rng, stream, 0)
         if state.log_num > -np.inf:
             return state
     where = "from the prior" if init is None else f"at init theta={init}"
@@ -148,8 +150,10 @@ def run_mcmc(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, seed, *,
         raise ConfigurationError("thin must be >= 1")
     proposal = proposal.resolved(model)
 
-    rng = substream(seed, "mcmc", "chain", chain_id)
-    state = initialize_chain(model, kernel, t_y, S, rng, init=init, init_budget=init_budget)
+    stream = (seed, "mcmc", "chain", chain_id)
+    rng = substream(*stream)
+    state = initialize_chain(model, kernel, t_y, S, rng, init=init, init_budget=init_budget,
+                             stream=stream)
 
     kept_iters, kept_thetas, kept_flags, kept_lognums = [], [], [], []
     n_accepted = 0
@@ -158,10 +162,10 @@ def run_mcmc(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, seed, *,
         theta_prop = proposal.sample(state.theta, model, rng)
         accepted = False
         if model.prior_logdensity(theta_prop) > -np.inf:
-            prop = _simulated_state(theta_prop, model, kernel, t_y, S, rng)
+            prop = _simulated_state(theta_prop, model, kernel, t_y, S, rng, stream, n)
             if variant == FRESH_DENOMINATOR:
                 # latest estimate at the (unchanged) current parameter
-                state = _simulated_state(state.theta, model, kernel, t_y, S, rng)
+                state = _simulated_state(state.theta, model, kernel, t_y, S, rng, stream, n)
             u = rng.uniform()
             log_q_ratio = proposal.log_q_ratio(state.theta, prop.theta, model)
             log_ratio, accepted = mh_step(prop.log_num, state.log_num, log_q_ratio, u)

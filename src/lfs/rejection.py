@@ -51,9 +51,10 @@ class RejectionOutput:
 
 def _evaluate_block(model, kernel, t_y, S, seed, block, block_size):
     """Propose one block on its own substream; returns (thetas, bundles, accept mask)."""
-    rng = substream(seed, "reject", "block", block)
+    stream = (seed, "reject", "block", block)
+    rng = substream(*stream)
     thetas = model.prior_sample(rng, (block_size,))
-    bundles = simulate_checked(model, thetas, S, rng)
+    bundles = simulate_checked(model, thetas, S, rng, stream)
     pooled = kernel.pooled_evaluate(t_y, bundles)
     u = rng.uniform(size=block_size)
     return thetas, bundles, u * kernel.sup_value() < pooled

@@ -310,9 +310,10 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
     hs = schedule.values
 
     # step 1: prior draws, bundles, weights proportional to the pooled kernel
-    rng_init = substream(seed, "smc", "init")
+    stream = (seed, "smc", "init")
+    rng_init = substream(*stream)
     thetas = model.prior_sample(rng_init, (N,))
-    bundles = simulate_checked(model, thetas, S, rng_init)
+    bundles = simulate_checked(model, thetas, S, rng_init, stream)
     log_pooled = kernel.with_bandwidth(hs[0]).log_pooled(t_y, bundles)
     log_prior = model.prior_logdensity(thetas)
     system = ParticleSystem(thetas, bundles, log_pooled.copy(), log_pooled, log_prior, k=1)
@@ -346,12 +347,13 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
             resampled_steps.append(k)
 
         # one proposal per particle; rows outside the prior keep their bundle
-        rng = substream(seed, "smc", "step", k, "mutate")
+        stream = (seed, "smc", "step", k, "mutate")
+        rng = substream(*stream)
         thetas = mutation.sample(system.thetas, model, rng)
         log_prior = model.prior_logdensity(thetas)
         live = log_prior > -np.inf
         bundles = system.bundles.copy()
-        bundles[live] = simulate_checked(model, thetas[live], S, rng)
+        bundles[live] = simulate_checked(model, thetas[live], S, rng, stream)
         log_pooled = np.where(live, kern.log_pooled(t_y, bundles), -np.inf)
 
         if variant.kind == JOINT_MCMC_MOVE:

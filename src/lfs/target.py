@@ -57,23 +57,38 @@ class MoveRecord:
     accepted: np.ndarray
 
 
-def simulate_checked(model, theta, S, rng):
+def simulate_checked(model, theta, S, rng, stream=None, iteration=None):
     """``model.simulate(theta, S, rng)`` for every sampler, with its output checked.
 
     A bundle of the wrong shape, or holding a NaN or infinite summary, raises
     ``DomainError`` instead of becoming a silent kernel miss or a NaN weight.
+    ``stream`` is the ``(seed, *path)`` that ``rng`` came from and
+    ``iteration`` the MCMC iteration (0 for the chain's initialization); the
+    error names them, so ``substream(*stream)`` replays the bad draw.
     """
     bundle = model.simulate(theta, S, rng)
     expected = (*np.shape(theta)[:-1], S, model.summary_dim)
     if np.shape(bundle) != expected:
         raise DomainError(f"model {model.name!r} simulated summaries of shape "
-                          f"{np.shape(bundle)}, expected {expected}")
+                          f"{np.shape(bundle)}, expected {expected}"
+                          f"{_origin(stream, iteration)}")
     finite = np.isfinite(bundle)
     if not finite.all():
         n_bad = int(np.count_nonzero(~finite.all(axis=-1)))
         raise DomainError(f"model {model.name!r} simulated {n_bad} non-finite "
-                          f"summaries out of {bundle.size // expected[-1]}")
+                          f"summaries out of {bundle.size // expected[-1]}"
+                          f"{_origin(stream, iteration)}")
     return bundle
+
+
+def _origin(stream, iteration):
+    """Where a simulated bundle came from, for an error message."""
+    parts = []
+    if stream is not None:
+        parts.append(f"seed {stream[0]}, substream {tuple(stream[1:])!r}")
+    if iteration is not None:
+        parts.append(f"iteration {iteration}")
+    return f" ({', '.join(parts)})" if parts else ""
 
 
 def joint_logdensity_unnorm(theta, bundle, t_y, kernel, model):

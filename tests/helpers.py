@@ -54,17 +54,19 @@ class NanBundleModel(NormalMeanModel):
     """Normal-mean model whose simulator returns NaN for every tenth bundle.
 
     Bundles are counted across calls, so a chain drawing one bundle per call
-    and a particle system drawing N per call both see the same pattern.
+    and a particle system drawing N per call both see the same pattern.  The
+    first ``clean_bundles`` bundles are left finite.
     """
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, clean_bundles=0, **kwargs):
         super().__init__(*args, **kwargs)
         self.n_bundles = 0
+        self.clean_bundles = clean_bundles
 
     def simulate(self, theta, n, rng):
         out = super().simulate(theta, n, rng)
         bundles = out.reshape(-1, n, out.shape[-1])
         index = self.n_bundles + np.arange(bundles.shape[0])
-        bundles[index % 10 == 9] = np.nan
+        bundles[(index % 10 == 9) & (index >= self.clean_bundles)] = np.nan
         self.n_bundles += bundles.shape[0]
         return out

@@ -169,6 +169,22 @@ def test_non_finite_simulator_output_raises():
     # kernel; the tenth bundle is drawn mid-chain, after initialization
     kernel = SmoothingKernel("uniform", 1.0)
     for variant in (CARRIED_BUNDLE, FRESH_DENOMINATOR):
-        with pytest.raises(DomainError, match="normal-mean.*3 non-finite summaries out of 3"):
+        records = []
+        with pytest.raises(DomainError,
+                           match="normal-mean.*3 non-finite summaries out of 3") as err:
             run_mcmc(NanBundleModel(), kernel, 0.0, 3, variant, ProposalSpec(), 100, 0,
-                     seed=4)
+                     seed=4, chain_id=2, on_iteration=records.append)
+        # the message names the chain's substream and the iteration that failed,
+        # the one after the last completed move
+        assert records
+        assert (f"(seed 4, substream ('mcmc', 'chain', 2), iteration {len(records) + 1})"
+                in str(err.value))
+
+
+def test_non_finite_simulator_output_at_initialization_names_iteration_zero():
+    kernel = SmoothingKernel("gaussian", 1.0)
+    model = NanBundleModel()
+    model.n_bundles = 9  # the first bundle drawn is the bad one
+    with pytest.raises(DomainError) as err:
+        run_mcmc(model, kernel, 0.0, 1, CARRIED_BUNDLE, ProposalSpec(), 10, 0, seed=7)
+    assert "(seed 7, substream ('mcmc', 'chain', 0), iteration 0)" in str(err.value)

@@ -111,5 +111,13 @@ def test_parameter_validation():
 def test_non_finite_simulator_output_raises():
     kernel = SmoothingKernel("uniform", 1.0)
     for workers in (1, 2):
-        with pytest.raises(DomainError, match="non-finite"):
+        with pytest.raises(DomainError, match="non-finite") as err:
             run_rejection(NanBundleModel(), kernel, 0.0, 2, 100, seed=5, workers=workers)
+        # every block holds a bad bundle; the first one consumed is named
+        assert "(seed 5, substream ('reject', 'block', 0))" in str(err.value)
+    # the first 40 blocks of 100 proposals are clean, so block 40 is named (one
+    # worker: the model counts bundles in the order the blocks are simulated)
+    with pytest.raises(DomainError) as err:
+        run_rejection(NanBundleModel(clean_bundles=4000), kernel, 0.0, 2, 10**6, seed=5,
+                      block_size=100)
+    assert "(seed 5, substream ('reject', 'block', 40))" in str(err.value)

@@ -461,9 +461,15 @@ def test_normalize_log_weights_nan_raises():
 def test_nan_simulator_output_raises_instead_of_nan_weights(kernel):
     schedule = BandwidthSchedule.geometric(2.0, 0.5, 4)
     for variant in (BACKWARD_KERNEL, JOINT_MCMC_MOVE):
-        with pytest.raises(DomainError, match="non-finite"):
+        with pytest.raises(DomainError, match="non-finite") as err:
             run_smc(NanBundleModel(), kernel, schedule, 2, 100, variant, ProposalSpec(),
                     seed=14, t_y=0.0)
+        assert "(seed 14, substream ('smc', 'init'))" in str(err.value)
+        # a clean initial population: the first mutation draws the bad bundles
+        with pytest.raises(DomainError, match="non-finite") as err:
+            run_smc(NanBundleModel(clean_bundles=100), kernel, schedule, 2, 100, variant,
+                    ProposalSpec(), seed=14, t_y=0.0)
+        assert "(seed 14, substream ('smc', 'step', 2, 'mutate'))" in str(err.value)
 
 
 def test_nan_simulator_output_raises_under_a_compact_kernel():
