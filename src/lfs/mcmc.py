@@ -105,7 +105,7 @@ class McmcOutput:
     seed: int
 
 
-def _simulated_state(theta, model, kernel, t_y, S, rng, stream=None, iteration=None):
+def _simulated_state(theta, model, kernel, t_y, S, rng, stream, iteration):
     bundle = simulate_checked(model, theta, S, rng, stream, iteration)
     log_num = joint_logdensity_unnorm(theta, bundle, t_y, kernel, model)
     return AugmentedState(theta, bundle, log_num)
