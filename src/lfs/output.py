@@ -54,18 +54,16 @@ def write_samples_csv(path, columns, rows, config_text, int_columns=()):
         rows = rows.astype(np.int64)
     elif rows.dtype.kind not in "iu":
         rows = rows.astype(float, copy=False)
-    int_columns = list(int_columns)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_echo_lines(config_text))
         fh.write(",".join(columns) + "\n")
         for start in range(0, len(rows), _CSV_BLOCK_ROWS):
             block = rows[start:start + _CSV_BLOCK_ROWS]
-            if int_columns:
-                # an object block holds Python floats, and Python ints where asked
-                cells = block.astype(object)
-                cells[:, int_columns] = block[:, int_columns].astype(np.int64)
-                block = cells
-            text = repr(block.tolist())[2:-2]
+            cells = block.tolist()
+            for j in int_columns:
+                for row, value in zip(cells, block[:, j].astype(np.int64).tolist()):
+                    row[j] = value
+            text = repr(cells)[2:-2]
             fh.write(text.replace("], [", "\n").replace(", ", ",") + "\n")
 
 
