@@ -7,6 +7,7 @@ Parsing is strict — unknown sections or keys are configuration errors.
 """
 
 import configparser
+import math
 import typing
 from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
@@ -193,6 +194,8 @@ class RunConfig:
             problems.append("run.seed must be a 64-bit unsigned integer")
         if self.run.s < 1:
             problems.append("run.s must be >= 1")
+        if not math.isfinite(self.run.t_y):
+            problems.append("run.t_y must be finite")
         if self.model.name not in MODEL_NAMES:
             problems.append(f"model.name must be one of {MODEL_NAMES}")
         if self.model.prior_sd <= 0 or self.model.tau <= 0:
@@ -217,8 +220,8 @@ class RunConfig:
             problems.append("mcmc.n_iter must exceed the burn-in")
         if self.mcmc.thin < 1:
             problems.append("mcmc.thin must be >= 1")
-        if self.mcmc.step_sd is not None and self.mcmc.step_sd <= 0:
-            problems.append("mcmc.step_sd must be positive when set")
+        if self.mcmc.step_sd is not None and not 0 < self.mcmc.step_sd < math.inf:
+            problems.append("mcmc.step_sd must be positive and finite when set")
         if self.smc.variant not in SMC_VARIANTS:
             problems.append(f"smc.variant must be one of {SMC_VARIANTS}")
         if self.smc.steps < 1:

@@ -21,6 +21,7 @@ from .errors import ConfigurationError
 KERNEL_KINDS = ("uniform", "epanechnikov", "gaussian")
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_TINY = -650.0  # below this log a linear mean of gaussian values may have lost digits
 
 
 class SummaryDistance:
@@ -111,13 +112,15 @@ class SmoothingKernel:
         """The profile's maximum, attained at zero distance."""
         return float(self._profile(0.0))
 
-    def _profile(self, d):
+    def _profile(self, d, relative=False):
+        """The profile at scaled distance d, divided by its peak value when ``relative``."""
         h = self.bandwidth
         if self.kind == "uniform":
-            return np.where(d <= 1.0, 0.5 / h, 0.0)
+            return np.where(d <= 1.0, 1.0 if relative else 0.5 / h, 0.0)
         if self.kind == "epanechnikov":
-            return np.where(d <= 1.0, (0.75 / h) * np.maximum(1.0 - d * d, 0.0), 0.0)
-        return np.exp(-0.5 * d * d) / (h * math.sqrt(2.0 * math.pi))
+            c = 1.0 if relative else 0.75 / h
+            return np.where(d <= 1.0, c * np.maximum(1.0 - d * d, 0.0), 0.0)
+        return np.exp(-0.5 * d * d) / (1.0 if relative else h * math.sqrt(2.0 * math.pi))
 
     def _log_profile(self, d):
         h = self.bandwidth
@@ -132,25 +135,25 @@ class SmoothingKernel:
 
     # -- pooled kernel over a bundle ------------------------------------------
 
-    def pooled_evaluate(self, t_y, bundle):
-        """Arithmetic mean of the kernel over the bundle's S summaries.
-
-        ``bundle`` has shape (S, dim) or (..., S, dim); the mean is taken over
-        the S axis.  For S = 1 this is the plain kernel value.
-        """
-        vals = self._bundle_values(t_y, bundle)
-        return np.mean(vals, axis=-1)
-
     def log_pooled(self, t_y, bundle):
-        """log pooled_evaluate, computed stably in log space (-inf on all-miss)."""
+        """log of the arithmetic mean of the kernel over the bundle's S summaries.
+
+        ``bundle`` is (S, dim) or (..., S, dim); -inf means every summary fell
+        outside a compact kernel's support.  At S = 1 this is ``log_evaluate``.
+        """
         d = self._bundle_distances(t_y, bundle)
-        logs = self._log_profile(d)
-        if logs.shape[-1] == 1:
-            return logs[..., 0]  # the log-sum-exp of one term, bit for bit
-        m = np.max(logs, axis=-1)
-        with np.errstate(invalid="ignore"):
-            body = m + np.log(np.mean(np.exp(logs - m[..., np.newaxis]), axis=-1))
-        return np.where(m == -np.inf, -np.inf, body)
+        if d.shape[-1] == 1:
+            return self._log_profile(d)[..., 0]
+        # the mean kernel over its peak: exactly k/S (uniform), 0 or above 1e-16 / S
+        # (epanechnikov); rows where a gaussian one underflows take a log-sum-exp
+        with np.errstate(divide="ignore"):
+            rel = np.log(np.mean(self._profile(d, relative=True), axis=-1))
+        out = np.asarray(rel + self._log_profile(0.0))
+        if self.kind == "gaussian" and np.min(rel) < _LOG_TINY:
+            low = rel < _LOG_TINY
+            logs = self._log_profile(d[low])
+            out[low] = np.logaddexp.reduce(logs, axis=-1) - math.log(d.shape[-1])
+        return out
 
     def _bundle_distances(self, t_y, bundle):
         bundle = np.asarray(bundle, dtype=float)
@@ -163,9 +166,6 @@ class SmoothingKernel:
             raise ConfigurationError("bundle must contain at least one summary (S >= 1)")
         t_y = np.atleast_1d(np.asarray(t_y, dtype=float))
         return self.distance.of_difference(t_y - bundle) / self.bandwidth
-
-    def _bundle_values(self, t_y, bundle):
-        return self._profile(self._bundle_distances(t_y, bundle))
 
     def __eq__(self, other):
         if not isinstance(other, SmoothingKernel):

@@ -59,8 +59,9 @@ class ProposalSpec:
                 f"unknown proposal kind {self.kind!r}; expected one of {PROPOSAL_KINDS}")
         if self.step_sd is not None:
             self.step_sd = np.atleast_1d(np.asarray(self.step_sd, dtype=float))
-            if np.any(self.step_sd <= 0):
-                raise ConfigurationError("proposal step sd must be positive")
+            if not np.all((self.step_sd > 0) & np.isfinite(self.step_sd)):
+                raise ConfigurationError(
+                    f"proposal step sd must be positive and finite, got {self.step_sd}")
 
     def resolved(self, model):
         if self.kind == "random-walk" and self.step_sd is None:

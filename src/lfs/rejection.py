@@ -55,9 +55,10 @@ def _evaluate_block(model, kernel, t_y, S, seed, block, block_size):
     rng = substream(*stream)
     thetas = model.prior_sample(rng, (block_size,))
     bundles = simulate_checked(model, thetas, S, rng, stream)
-    pooled = kernel.pooled_evaluate(t_y, bundles)
     u = rng.uniform(size=block_size)
-    return thetas, bundles, u * kernel.sup_value() < pooled
+    with np.errstate(divide="ignore"):  # u = 0 gives log 0 = -inf: accepted, as u * sup < pooled
+        accept = np.log(u) + np.log(kernel.sup_value()) < kernel.log_pooled(t_y, bundles)
+    return thetas, bundles, accept
 
 
 def run_rejection(model, kernel, t_y, S, n_accept, seed, *,
@@ -93,11 +94,9 @@ def run_rejection(model, kernel, t_y, S, n_accept, seed, *,
 
     acc_thetas, acc_bundles = [], []
     n_found = 0
-    proposals_used = 0
     next_log = LOG_EVERY
 
     def finish(final_block, within):
-        nonlocal proposals_used
         proposals_used = final_block * block_size + within
         thetas = np.concatenate(acc_thetas)[:n_accept]
         bundles = np.concatenate(acc_bundles)[:n_accept]

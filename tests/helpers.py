@@ -17,10 +17,6 @@ class ConstantKernel:
         u = np.asarray(u, dtype=float)
         return np.full(u.shape[:-1] if u.ndim > 1 else (), self.value)
 
-    def pooled_evaluate(self, t_y, bundle):
-        bundle = np.asarray(bundle, dtype=float)
-        return np.full(bundle.shape[:-2], self.value)
-
     def log_pooled(self, t_y, bundle):
         bundle = np.asarray(bundle, dtype=float)
         return np.full(bundle.shape[:-2], np.log(self.value))

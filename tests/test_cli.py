@@ -149,3 +149,26 @@ def test_smc_non_finite_simulator_output_exits_config_error(tmp_path, monkeypatc
     assert code == cli.EXIT_CONFIG == 2
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mcmc", "smc"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_step_sd_exits_config_error(tmp_path, capsys, command, value):
+    # a NaN or infinite step never moves a chain or a particle
+    out = tmp_path / "x.csv"
+    code = run_cli([command, "--step-sd", value, "--seed", "1", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["reject", "mcmc", "smc"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_observed_summary_exits_config_error(tmp_path, capsys, command, value):
+    # no simulated summary can come near a non-finite t_y, so every sampler
+    # would otherwise spend its budget or collapse
+    out = tmp_path / "x.csv"
+    code = run_cli([command, "--t-y", value, "--seed", "1", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "run.t_y must be finite" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp
 
 from lfs.errors import ConfigurationError
 from lfs.kernels import KERNEL_KINDS, SmoothingKernel, SummaryDistance
@@ -30,19 +31,21 @@ def test_pooled_is_arithmetic_mean():
     k = SmoothingKernel("epanechnikov", 1.0)
     bundle = np.array([[0.0], [0.5]])
     vals = k.evaluate(np.array([[0.0], [0.5]]))  # 0.75 and 0.5625
-    assert k.pooled_evaluate(0.0, bundle) == pytest.approx(np.mean(vals), abs=1e-15)
+    assert k.log_pooled(0.0, bundle) == pytest.approx(math.log(np.mean(vals)), abs=1e-15)
 
 
 def test_pooled_identity_at_s1():
     k = SmoothingKernel("gaussian", 0.7)
     bundle = np.array([[0.31]])
-    assert k.pooled_evaluate(0.0, bundle) == k.evaluate(np.array([0.31]))
+    assert k.log_pooled(0.0, bundle) == k.log_evaluate(np.array([0.31]))
+    assert k.log_pooled(0.0, bundle) == pytest.approx(
+        math.log(np.mean(k.evaluate(0.0 - bundle), axis=-1)), abs=1e-15)
 
 
 def test_pooled_all_outside_support_is_zero():
     k = SmoothingKernel("uniform", 1.0)
     bundle = np.full((3, 1), 2.0)
-    assert k.pooled_evaluate(0.0, bundle) == 0.0
+    assert np.mean(k.evaluate(0.0 - bundle), axis=-1) == 0.0
     assert k.log_pooled(0.0, bundle) == -np.inf
 
 
@@ -85,7 +88,8 @@ def test_pooling_between_min_and_max():
         for _ in range(200):
             bundle = rng.normal(size=(rng.integers(1, 9), 2))
             per = k.evaluate(0.0 - bundle)
-            pooled = k.pooled_evaluate(np.zeros(2), bundle)
+            pooled = math.exp(k.log_pooled(np.zeros(2), bundle))
+            assert pooled == pytest.approx(np.mean(per, axis=-1), rel=1e-13, abs=1e-300)
             assert per.min() - 1e-12 <= pooled <= per.max() + 1e-12
 
 
@@ -94,8 +98,10 @@ def test_sup_dominates_pooled():
     bundles = rng.normal(scale=1.5, size=(10_000, 4, 1))
     for kind in ("uniform", "epanechnikov", "gaussian"):
         k = SmoothingKernel(kind, 0.8)
-        ratio = k.pooled_evaluate(0.0, bundles) / k.sup_value()
-        assert np.all(ratio >= 0.0) and np.all(ratio <= 1.0 + 1e-12)
+        pooled = np.mean(k.evaluate(0.0 - bundles), axis=-1)
+        assert np.all(pooled >= 0.0) and np.all(pooled <= k.sup_value() * (1.0 + 1e-12))
+        # the log-scale bound rejection accepts against
+        assert np.all(k.log_pooled(0.0, bundles) <= math.log(k.sup_value()) + 1e-12)
 
 
 def test_log_pooled_matches_linear():
@@ -104,7 +110,7 @@ def test_log_pooled_matches_linear():
     for kind in ("uniform", "epanechnikov", "gaussian"):
         k = SmoothingKernel(kind, 1.0)
         assert k.log_pooled(0.0, bundle) == pytest.approx(
-            math.log(k.pooled_evaluate(0.0, bundle)), abs=1e-12)
+            math.log(np.mean(k.evaluate(0.0 - bundle), axis=-1)), abs=1e-12)
 
 
 def test_weighted_euclidean_distance():
@@ -147,18 +153,29 @@ def _kernel_and_bundle(draw, s=None):
 
 @_PROPERTY_SETTINGS
 @given(_kernel_and_bundle())
+# gaussian rows far from t_y, whose linear mean underflows to 0, beside a normal row
+@example((SmoothingKernel("gaussian", 0.05), np.zeros(1),
+          np.array([[[9.0], [9.0], [-9.0]], [[0.1], [9.0], [9.0]], [[2.0], [-3.0], [9.0]]])))
 def test_log_pooled_is_log_of_pooled(case):
     # wherever the linear pooled value is a normal double above 1e-300 the two
     # agree to rtol 1e-12 (atol 1e-12 for values near log 1 = 0); a compact
     # kernel's exact zero is -inf in log space
     kernel, t_y, bundle = case
     log_pooled = np.asarray(kernel.log_pooled(t_y, bundle))
-    pooled = np.asarray(kernel.pooled_evaluate(t_y, bundle))
+    pooled = np.asarray(np.mean(kernel.evaluate(t_y - bundle), axis=-1))
     assert log_pooled.shape == pooled.shape == bundle.shape[:-2]
     big = pooled > 1e-300
     np.testing.assert_allclose(log_pooled[big], np.log(pooled[big]), rtol=1e-12, atol=1e-12)
     if kernel.kind != "gaussian":
         assert np.all(np.isneginf(log_pooled[pooled == 0.0]))
+    # on every row, including gaussian rows whose linear mean underflows, it is
+    # the log-sum-exp of the per-summary logs less log S
+    with np.errstate(divide="ignore"):
+        lse = np.asarray(logsumexp(kernel.log_evaluate(t_y - bundle), axis=-1)
+                         - math.log(bundle.shape[-2]))
+    assert np.array_equal(np.isneginf(log_pooled), np.isneginf(lse))
+    live = ~np.isneginf(lse)
+    np.testing.assert_allclose(log_pooled[live], lse[live], rtol=1e-12, atol=1e-12)
 
 
 @_PROPERTY_SETTINGS

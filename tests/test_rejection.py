@@ -9,7 +9,31 @@ from lfs.diagnostics import ks_statistic, ks_critical_value
 from lfs.errors import BudgetExhaustedError, ConfigurationError, DomainError
 from lfs.kernels import SmoothingKernel
 from lfs.models import BernoulliCountModel, NormalMeanModel
-from lfs.rejection import run_rejection
+from lfs.rejection import _evaluate_block, run_rejection
+from lfs.rng import substream
+
+
+@pytest.mark.parametrize("model, kernel, t_y, S", [
+    (NormalMeanModel(), SmoothingKernel("gaussian", 0.1), 0.0, 5),
+    (NormalMeanModel(), SmoothingKernel("epanechnikov", 0.1), 0.0, 5),
+    (NormalMeanModel(), SmoothingKernel("uniform", 0.5), 0.0, 25),
+    (BernoulliCountModel(), SmoothingKernel("uniform", 0.5), 7.0, 1),
+    (BernoulliCountModel(), SmoothingKernel("gaussian", 1.0), 7.0, 25),
+], ids=["normal-gaussian-s5", "normal-epan-s5", "normal-uniform-s25", "bern-uniform-s1",
+        "bern-gaussian-s25"])
+def test_block_accepts_match_linear_reference(model, kernel, t_y, S):
+    # the log-scale accept test decides as the linear u * sup < mean kernel does,
+    # on the same substream draws in the same order
+    for block in range(4):
+        thetas, bundles, accept = _evaluate_block(model, kernel, t_y, S, 8, block, 4096)
+        rng = substream(8, "reject", "block", block)
+        ref_thetas = model.prior_sample(rng, (4096,))
+        ref_bundles = model.simulate(ref_thetas, S, rng)
+        u = rng.uniform(size=4096)
+        pooled = np.mean(kernel.evaluate(t_y - ref_bundles), axis=-1)
+        assert np.array_equal(thetas, ref_thetas) and np.array_equal(bundles, ref_bundles)
+        assert np.array_equal(accept, u * kernel.sup_value() < pooled)
+        assert 0 < accept.sum() < 4096
 
 
 def test_conjugate_moments():

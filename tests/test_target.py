@@ -24,7 +24,7 @@ def test_joint_logdensity_arithmetic():
     # distances giving kernel values 0.2/0.4 are unnecessary: verify against
     # the kernel's own pooled value
     bundle = np.array([[5.0], [6.0]])
-    expected = math.log(kernel.pooled_evaluate(6.0, bundle)) + 0.0
+    expected = math.log(np.mean(kernel.evaluate(6.0 - bundle), axis=-1)) + 0.0
     got = joint_logdensity_unnorm(np.array([0.3]), bundle, 6.0, kernel, model)
     assert got == pytest.approx(expected, abs=1e-12)
 
