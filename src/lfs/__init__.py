@@ -12,8 +12,8 @@ from .target import (AugmentedState, joint_logdensity_unnorm, marginal_logestima
 from .rejection import RejectionOutput, run_rejection
 from .mcmc import CARRIED_BUNDLE, FRESH_DENOMINATOR, McmcOutput, ProposalSpec, run_mcmc
 from .smc import (BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule, ParticleSystem,
-                  SmcOutput, SmcVariantSpec, ess, incremental_weight_backward,
-                  incremental_weight_joint, incremental_weight_joint_general, run_smc)
+                  SmcOutput, ess, incremental_weight_backward, incremental_weight_joint,
+                  incremental_weight_joint_general, run_smc)
 from .diagnostics import ks_statistic, weighted_moments
 from .config import RunConfig
 from .rng import substream
@@ -23,7 +23,7 @@ __all__ = [
     "BernoulliCountModel", "BudgetExhaustedError", "CapabilityError", "CARRIED_BUNDLE",
     "ConfigurationError", "DomainError", "FRESH_DENOMINATOR", "JOINT_MCMC_MOVE",
     "McmcOutput", "Model", "NormalMeanModel", "ParticleCollapseError", "ParticleSystem",
-    "ProposalSpec", "RejectionOutput", "RunConfig", "SmcOutput", "SmcVariantSpec",
+    "ProposalSpec", "RejectionOutput", "RunConfig", "SmcOutput",
     "SmoothingKernel", "SummaryDistance", "ess", "incremental_weight_backward",
     "incremental_weight_joint", "incremental_weight_joint_general",
     "joint_logdensity_unnorm", "ks_statistic", "make_model", "marginal_logestimate",

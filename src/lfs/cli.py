@@ -208,8 +208,9 @@ def cmd_smc(args):
     model = cfg.build_model()
     kernel = cfg.build_kernel()
     out = run_smc(model, kernel, cfg.build_schedule(), cfg.run.s, cfg.smc.particles,
-                  cfg.build_smc_variant(), cfg.build_mutation(), cfg.run.seed,
-                  cfg.run.t_y, ess_threshold=cfg.smc.ess_threshold)
+                  cfg.smc.variant, cfg.build_mutation(), cfg.run.seed, cfg.run.t_y,
+                  ess_threshold=cfg.smc.ess_threshold,
+                  reject_threshold=cfg.smc.reject_threshold)
     config_text = cfg.to_text()
     path = out_path_for(cfg, args)
     columns = (["particle"] + [f"theta_{j}" for j in range(out.thetas.shape[1])]

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
 from .errors import ConfigurationError
-from .kernels import KERNEL_KINDS, SmoothingKernel, SummaryDistance
-from .mcmc import MCMC_VARIANTS, PROPOSAL_KINDS, ProposalSpec
+from .kernels import SmoothingKernel, SummaryDistance
+from .mcmc import ProposalSpec, check_arguments as check_mcmc
 from .models import MODEL_NAMES, make_model
-from .rejection import DEFAULT_BLOCK_SIZE, DEFAULT_BUDGET
+from .rejection import DEFAULT_BLOCK_SIZE, DEFAULT_BUDGET, check_arguments as check_rejection
 from .rng import MAX_SEED
-from .smc import SMC_VARIANTS, BandwidthSchedule, SmcVariantSpec
+from .smc import BandwidthSchedule, check_arguments as check_smc
 
 
 @dataclass
@@ -114,17 +114,6 @@ class ExperimentSection:
     sinv_step_sd: float = 1.0
 
 
-_SECTION_ORDER = (
-    ("run", RunSection),
-    ("model", ModelSection),
-    ("kernel", KernelSection),
-    ("rejection", RejectionSection),
-    ("mcmc", McmcSection),
-    ("smc", SmcSection),
-    ("experiment", ExperimentSection),
-)
-
-
 @dataclass
 class RunConfig:
     run: RunSection = field(default_factory=RunSection)
@@ -140,9 +129,9 @@ class RunConfig:
     def to_text(self):
         """Canonical serialization: every key, fixed order, round-trip exact."""
         lines = []
-        for section_name, _ in _SECTION_ORDER:
-            section = getattr(self, section_name)
-            lines.append(f"[{section_name}]")
+        for section_field in fields(self):
+            section = getattr(self, section_field.name)
+            lines.append(f"[{section_field.name}]")
             for f in fields(section):
                 lines.append(f"{f.name} = {_format_value(getattr(section, f.name))}")
             lines.append("")
@@ -156,18 +145,11 @@ class RunConfig:
         except configparser.Error as exc:
             raise ConfigurationError(f"cannot parse config: {exc}") from exc
         cfg = cls()
-        known = dict(_SECTION_ORDER)
         for section_name in parser.sections():
-            if section_name not in known:
-                raise ConfigurationError(f"unknown config section [{section_name}]")
-            section = getattr(cfg, section_name)
-            valid = {f.name: f for f in fields(section)}
-            for key, raw in parser.items(section_name):
-                if key not in valid:
-                    raise ConfigurationError(
-                        f"unknown key {key!r} in section [{section_name}]")
-                setattr(section, key, _parse_value(raw, valid[key].type, key))
-        return cfg
+            cfg._section(section_name)  # an empty unknown section is an error too
+        return cfg.apply_overrides({(section_name, key): raw
+                                    for section_name in parser.sections()
+                                    for key, raw in parser.items(section_name)})
 
     @classmethod
     def from_file(cls, path):
@@ -177,7 +159,7 @@ class RunConfig:
     def apply_overrides(self, overrides):
         """Apply {(section, key): raw-or-typed value} on top of this config."""
         for (section_name, key), value in overrides.items():
-            section = getattr(self, section_name)
+            section = self._section(section_name)
             matches = [f for f in fields(section) if f.name == key]
             if not matches:
                 raise ConfigurationError(f"unknown key {key!r} in section [{section_name}]")
@@ -186,78 +168,61 @@ class RunConfig:
             setattr(section, key, value)
         return self
 
+    def _section(self, name):
+        if name not in {f.name for f in fields(self)}:
+            raise ConfigurationError(f"unknown config section [{name}]")
+        return getattr(self, name)
+
     # -- validation ---------------------------------------------------------
 
     def validate(self):
-        problems = []
-        if not 0 <= self.run.seed <= MAX_SEED:
-            problems.append("run.seed must be a 64-bit unsigned integer")
-        if self.run.s < 1:
-            problems.append("run.s must be >= 1")
-        if not math.isfinite(self.run.t_y):
-            problems.append("run.t_y must be finite")
-        if self.model.name not in MODEL_NAMES:
-            problems.append(f"model.name must be one of {MODEL_NAMES}")
-        if self.model.prior_sd <= 0 or self.model.tau <= 0:
-            problems.append("model.prior_sd and model.tau must be positive")
-        if self.model.trials < 1:
-            problems.append("model.trials must be >= 1")
-        if self.kernel.kind not in KERNEL_KINDS:
-            problems.append(f"kernel.kind must be one of {KERNEL_KINDS}")
-        if self.kernel.h <= 0:
-            problems.append("kernel.h must be positive")
-        if self.kernel.distance not in ("euclidean", "weighted-euclidean"):
-            problems.append("kernel.distance must be euclidean or weighted-euclidean")
-        if self.rejection.n_accept < 1:
-            problems.append("rejection.n_accept must be >= 1")
-        if min(self.rejection.budget, self.rejection.block_size) < 1:
-            problems.append("rejection budget/block_size must be positive")
-        if self.mcmc.variant not in MCMC_VARIANTS:
-            problems.append(f"mcmc.variant must be one of {MCMC_VARIANTS}")
-        if self.mcmc.proposal not in PROPOSAL_KINDS:
-            problems.append(f"mcmc.proposal must be one of {PROPOSAL_KINDS}")
-        if self.mcmc.n_iter <= self.mcmc.resolved_burn_in():
-            problems.append("mcmc.n_iter must exceed the burn-in")
-        if self.mcmc.thin < 1:
-            problems.append("mcmc.thin must be >= 1")
-        if self.mcmc.step_sd is not None and not 0 < self.mcmc.step_sd < math.inf:
-            problems.append("mcmc.step_sd must be positive and finite when set")
-        if self.smc.variant not in SMC_VARIANTS:
-            problems.append(f"smc.variant must be one of {SMC_VARIANTS}")
-        if self.smc.steps < 1:
-            problems.append("smc.steps must be >= 1")
-        if self.smc.steps > 1 and not self.smc.h_start > self.smc.h_end > 0:
-            problems.append("smc needs h_start > h_end > 0")
-        if self.smc.particles < 2:
-            problems.append("smc.particles must be >= 2")
-        if not 0 < self.smc.ess_threshold <= 1:
-            problems.append("smc.ess_threshold must lie in (0, 1]")
-        if self.smc.reject_threshold is not None:
-            if self.smc.variant != "backward":
-                problems.append("smc.reject_threshold needs smc.variant = backward")
-            elif not 0 < self.smc.reject_threshold < 1:
-                problems.append("smc.reject_threshold must lie in (0, 1)")
-        if not 0 < self.experiment.level < 1:
-            problems.append("experiment.level must lie in (0, 1)")
+        """Check every section by building what it describes.
+
+        The rules live in the constructors and in each sampler's
+        ``check_arguments``; only the seed range, a finite ``t_y`` and the
+        experiment level have no other owner and are stated here.  Each failing
+        section adds one message, prefixed by the section's name.
+        """
+        run, rej, mcmc, smc = self.run, self.rejection, self.mcmc, self.smc
+        checks = [
+            ("run", lambda: _require(0 <= run.seed <= MAX_SEED,
+                                     "seed must be a 64-bit unsigned integer")),
+            ("run", lambda: _require(math.isfinite(run.t_y), "t_y must be finite")),
+            # every model, so a bad tau fails under --model bernoulli-count too
+            ("model", lambda: [make_model(**dict(vars(self.model), name=name))
+                               for name in (self.model.name, *MODEL_NAMES)]),
+            ("kernel", self.build_kernel),
+            ("rejection", lambda: check_rejection(run.s, rej.n_accept, rej.budget,
+                                                  rej.block_size, 1)),
+            ("mcmc", self.build_proposal),
+            ("mcmc", lambda: check_mcmc(mcmc.variant, mcmc.n_iter,
+                                        mcmc.resolved_burn_in(), mcmc.thin)),
+            ("smc", self.build_mutation),
+            ("smc", self.build_schedule),
+            ("smc", lambda: check_smc(smc.variant, run.s, smc.particles,
+                                      smc.ess_threshold, smc.reject_threshold)),
+            ("experiment", lambda: _require(0 < self.experiment.level < 1,
+                                            "level must lie in (0, 1)")),
+        ]
+        problems = {}
+        for section, check in checks:
+            if section not in problems:
+                try:
+                    check()
+                except ConfigurationError as exc:
+                    problems[section] = f"[{section}] {exc}"
         if problems:
-            raise ConfigurationError("; ".join(problems))
+            raise ConfigurationError("; ".join(problems.values()))
         return self
 
     # -- builders -----------------------------------------------------------
 
     def build_model(self):
-        return make_model(
-            self.model.name, prior_mean=self.model.prior_mean,
-            prior_sd=self.model.prior_sd, tau=self.model.tau, trials=self.model.trials)
+        return make_model(**vars(self.model))
 
-    def build_distance(self):
-        weights = self.kernel.distance_weights or None
-        return SummaryDistance(self.kernel.distance, weights)
-
-    def build_kernel(self, h=None):
-        return SmoothingKernel(self.kernel.kind,
-                               self.kernel.h if h is None else h,
-                               self.build_distance())
+    def build_kernel(self):
+        distance = SummaryDistance(self.kernel.distance, self.kernel.distance_weights or None)
+        return SmoothingKernel(self.kernel.kind, self.kernel.h, distance)
 
     def build_proposal(self):
         return ProposalSpec(self.mcmc.proposal, self.mcmc.step_sd)
@@ -268,8 +233,10 @@ class RunConfig:
     def build_schedule(self):
         return BandwidthSchedule.geometric(self.smc.h_start, self.smc.h_end, self.smc.steps)
 
-    def build_smc_variant(self):
-        return SmcVariantSpec(self.smc.variant, self.smc.reject_threshold)
+
+def _require(condition, message):
+    if not condition:
+        raise ConfigurationError(message)
 
 
 def _format_value(value):

@@ -134,6 +134,16 @@ def initialize_chain(model, kernel, t_y, S, rng, init=None, init_budget=100_000,
         f"in {init_budget} draws", proposals_used=init_budget)
 
 
+def check_arguments(variant, n_iter, burn_in, thin):
+    """The checks ``run_mcmc`` makes on its scalar arguments."""
+    if variant not in MCMC_VARIANTS:
+        raise ConfigurationError(f"unknown MCMC variant {variant!r}")
+    if not (n_iter > burn_in >= 0):
+        raise ConfigurationError("need n_iter > burn_in >= 0")
+    if thin < 1:
+        raise ConfigurationError("thin must be >= 1")
+
+
 def run_mcmc(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, seed, *,
              init=None, thin=1, chain_id=0, init_budget=100_000,
              on_iteration: Optional[Callable[[MoveRecord], None]] = None):
@@ -143,12 +153,7 @@ def run_mcmc(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, seed, *,
     so independent chains on distinct ids are reproducible regardless of
     scheduling.
     """
-    if variant not in MCMC_VARIANTS:
-        raise ConfigurationError(f"unknown MCMC variant {variant!r}")
-    if not (n_iter > burn_in >= 0):
-        raise ConfigurationError("need n_iter > burn_in >= 0")
-    if thin < 1:
-        raise ConfigurationError("thin must be >= 1")
+    check_arguments(variant, n_iter, burn_in, thin)
     proposal = proposal.resolved(model)
 
     stream = (seed, "mcmc", "chain", chain_id)

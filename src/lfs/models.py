@@ -134,8 +134,10 @@ class NormalMeanModel(Model):
     name = "normal-mean"
 
     def __init__(self, prior_mean=0.0, prior_sd_value=1.0, tau=1.0):
-        if prior_sd_value <= 0 or tau <= 0:
-            raise ConfigurationError("prior sd and tau must be positive")
+        if not (math.isfinite(prior_mean) and 0 < prior_sd_value < math.inf
+                and 0 < tau < math.inf):
+            raise ConfigurationError(
+                "prior mean must be finite and prior sd and tau positive and finite")
         self.prior_mean = float(prior_mean)
         self._prior_sd = float(prior_sd_value)
         self.tau = float(tau)

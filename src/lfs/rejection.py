@@ -61,6 +61,16 @@ def _evaluate_block(model, kernel, t_y, S, seed, block, block_size):
     return thetas, bundles, accept
 
 
+def check_arguments(S, n_accept, budget, block_size, workers):
+    """The checks ``run_rejection`` makes on its scalar arguments."""
+    if S < 1:
+        raise ConfigurationError("S must be >= 1")
+    if n_accept < 1:
+        raise ConfigurationError("n_accept must be >= 1")
+    if workers < 1 or block_size < 1 or budget < 1:
+        raise ConfigurationError("workers, block_size and budget must be positive")
+
+
 def run_rejection(model, kernel, t_y, S, n_accept, seed, *,
                   budget=DEFAULT_BUDGET, workers=1, block_size=DEFAULT_BLOCK_SIZE):
     """Run the rejection sampler until ``n_accept`` acceptances.
@@ -85,12 +95,7 @@ def run_rejection(model, kernel, t_y, S, n_accept, seed, *,
     BudgetExhaustedError
         If the proposal budget runs out first.
     """
-    if n_accept < 1:
-        raise ConfigurationError("n_accept must be >= 1")
-    if S < 1:
-        raise ConfigurationError("S must be >= 1")
-    if workers < 1 or block_size < 1 or budget < 1:
-        raise ConfigurationError("workers, block_size and budget must be positive")
+    check_arguments(S, n_accept, budget, block_size, workers)
 
     acc_thetas, acc_bundles = [], []
     n_found = 0

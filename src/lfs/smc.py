@@ -64,29 +64,13 @@ class BandwidthSchedule:
             raise ConfigurationError("n_steps must be >= 1")
         if n_steps == 1:
             return cls(np.array([float(h_end)]))
-        if not h_start > h_end > 0:
-            raise ConfigurationError("need h_start > h_end > 0")
+        if not (math.isfinite(h_start) and h_start > h_end > 0):
+            raise ConfigurationError(f"need finite h_start > h_end > 0, got {h_start}, {h_end}")
         return cls(np.geomspace(h_start, h_end, n_steps))
 
     @property
     def n_steps(self):
         return self.values.size
-
-
-@dataclass
-class SmcVariantSpec:
-    kind: str
-    rejection_threshold: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in SMC_VARIANTS:
-            raise ConfigurationError(f"unknown SMC variant {self.kind!r}")
-        if self.rejection_threshold is not None:
-            if self.kind != BACKWARD_KERNEL:
-                raise ConfigurationError(
-                    "rejection_threshold is only valid for the backward variant")
-            if not 0.0 < self.rejection_threshold < 1.0:
-                raise ConfigurationError("rejection_threshold must lie in (0, 1)")
 
 
 @dataclass
@@ -276,8 +260,25 @@ def apply_particle_rejection(weights, threshold, rng):
     return np.where(below, np.where(survive, cutoff, 0.0), w)
 
 
+def check_arguments(variant, S, N, ess_threshold, reject_threshold=None):
+    """The checks ``run_smc`` makes on its scalar arguments."""
+    if variant not in SMC_VARIANTS:
+        raise ConfigurationError(f"unknown SMC variant {variant!r}")
+    if reject_threshold is not None:
+        if variant != BACKWARD_KERNEL:
+            raise ConfigurationError("reject_threshold is only valid for the backward variant")
+        if not 0.0 < reject_threshold < 1.0:
+            raise ConfigurationError("reject_threshold must lie in (0, 1)")
+    if S < 1:
+        raise ConfigurationError("S must be >= 1")
+    if N < 2:
+        raise ConfigurationError("need at least two particles")
+    if not 0.0 < ess_threshold <= 1.0:
+        raise ConfigurationError("ess_threshold must lie in (0, 1]")
+
+
 def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
-            ess_threshold=0.5,
+            ess_threshold=0.5, reject_threshold=None,
             on_mutation: Optional[Callable[[MoveRecord], None]] = None):
     """Run the SMC sampler; returns the final weighted population at h_n.
 
@@ -286,25 +287,21 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
     kernel : SmoothingKernel
         Supplies the kind and summary distance; its bandwidth is overridden
         by the schedule at every step.
-    variant : SmcVariantSpec or str
-        "joint-move" or "backward" (optionally with a rejection threshold).
+    variant : str
+        "joint-move" or "backward".
     mutation : ProposalSpec
         MCMC proposal (joint-move) / mutation kernel (backward).
     ess_threshold : float in (0, 1]
         Resample whenever ESS < ess_threshold * N.
+    reject_threshold : float in (0, 1), optional
+        Backward variant only: probabilistic rejection of particles whose
+        normalized weight falls below reject_threshold / N.
     on_mutation : callable, optional
         Called with each joint-move step's ``MoveRecord``.  The backward
         variant makes no MH move, so passing it there is a ConfigurationError.
     """
-    if isinstance(variant, str):
-        variant = SmcVariantSpec(variant)
-    if N < 2:
-        raise ConfigurationError("need at least two particles")
-    if S < 1:
-        raise ConfigurationError("S must be >= 1")
-    if not 0.0 < ess_threshold <= 1.0:
-        raise ConfigurationError("ess_threshold must lie in (0, 1]")
-    if on_mutation is not None and variant.kind != JOINT_MCMC_MOVE:
+    check_arguments(variant, S, N, ess_threshold, reject_threshold)
+    if on_mutation is not None and variant != JOINT_MCMC_MOVE:
         raise ConfigurationError("on_mutation records MH moves; only joint-move SMC makes them")
     mutation = mutation.resolved(model)
     hs = schedule.values
@@ -326,7 +323,7 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
     for k in range(2, schedule.n_steps + 1):
         system.k = k
         kern = kernel.with_bandwidth(hs[k - 1])
-        if variant.kind == JOINT_MCMC_MOVE:
+        if variant == JOINT_MCMC_MOVE:
             # reweight with the bandwidth-tightening factor on the pre-move bundles
             log_pooled = kern.log_pooled(t_y, system.bundles)
             system.log_weights = system.log_weights + incremental_weight_joint(
@@ -356,7 +353,7 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
         bundles[live] = simulate_checked(model, thetas[live], S, rng, stream)
         log_pooled = np.where(live, kern.log_pooled(t_y, bundles), -np.inf)
 
-        if variant.kind == JOINT_MCMC_MOVE:
+        if variant == JOINT_MCMC_MOVE:
             # one carried-bundle MH step per particle, invariant for the new target
             log_num_prop = log_pooled + log_prior
             log_num = system.log_pooled + system.log_prior
@@ -377,9 +374,9 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
             system.replace(slice(None), thetas, bundles, log_pooled, log_prior)
             system.log_weights = system.log_weights + incr
             norm_w = system.normalized_weights()
-            if variant.rejection_threshold is not None:
+            if reject_threshold is not None:
                 thresholded = apply_particle_rejection(
-                    norm_w, variant.rejection_threshold,
+                    norm_w, reject_threshold,
                     substream(seed, "smc", "step", k, "threshold"))
                 with np.errstate(divide="ignore"):
                     system.log_weights = np.log(thresholded)
@@ -392,5 +389,5 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
         thetas=system.thetas, weights=norm_w, log_weights=log_norm,
         ess_trace=np.asarray(ess_trace), acceptance_trace=np.asarray(acceptance_trace),
         resampled_steps=np.asarray(resampled_steps, dtype=np.int64),
-        schedule=schedule, variant=variant.kind, seed=seed,
+        schedule=schedule, variant=variant, seed=seed,
     )

@@ -80,6 +80,14 @@ def test_validate_config_ok_and_bad(tmp_path):
     assert run_cli(["validate-config", "--config", str(bad)]) == cli.EXIT_CONFIG
     missing = tmp_path / "missing.cfg"
     assert run_cli(["validate-config", "--config", str(missing)]) == cli.EXIT_CONFIG
+    # configs every run command rejects must not validate either
+    for i, text in enumerate(["[kernel]\ndistance = weighted-euclidean\n",
+                              "[smc]\nsteps = 1\nh_end = -1\n",
+                              "[smc]\nh_start = inf\n",
+                              "[model]\ntau = nan\n"]):
+        rejected = tmp_path / f"rejected{i}.cfg"
+        rejected.write_text(text)
+        assert run_cli(["validate-config", "--config", str(rejected)]) == cli.EXIT_CONFIG, text
 
 
 def test_budget_exhaustion_exit_code(tmp_path):
@@ -170,5 +178,18 @@ def test_non_finite_observed_summary_exits_config_error(tmp_path, capsys, comman
     out = tmp_path / "x.csv"
     code = run_cli([command, "--t-y", value, "--seed", "1", "--out", str(out)])
     assert code == cli.EXIT_CONFIG
-    assert "run.t_y must be finite" in capsys.readouterr().err
+    assert "[run] t_y must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["reject", "mcmc", "smc"])
+@pytest.mark.parametrize("flag, value", [("--prior-mean", "nan"), ("--prior-sd", "inf"),
+                                         ("--tau", "nan")])
+def test_non_finite_hyperparameter_exits_config_error(tmp_path, capsys, command, flag,
+                                                      value):
+    # the model rejects it, not the simulator or the prior support later on
+    out = tmp_path / "x.csv"
+    code = run_cli([command, flag, value, "--seed", "1", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "[model]" in capsys.readouterr().err
     assert not out.exists()

@@ -1,14 +1,22 @@
+import argparse
 import json
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from lfs import cli
 from lfs.config import RunConfig
 from lfs.diagnostics import weighted_moments
 from lfs.errors import ConfigurationError
+from lfs.mcmc import check_arguments as check_mcmc
+from lfs.models import make_model
 from lfs.output import (embedded_config, format_float, read_samples_csv,
                         write_json_summary, write_samples_csv)
+from lfs.rejection import check_arguments as check_rejection
+from lfs.smc import check_arguments as check_smc
 
 
 def test_config_round_trip_identity():
@@ -57,6 +65,62 @@ def test_validation_messages_cover_sections():
     cfg.smc.reject_threshold = 0.5  # only valid for the backward variant
     with pytest.raises(ConfigurationError, match="backward"):
         cfg.validate()
+
+
+# One bad value per input rule that a constructor or a sampler check owns:
+# (overrides, section named in validate's message, the owner's own call).
+# S is an argument of the rejection and SMC checks, so they report it.
+_OWNED_RULES = [
+    ({"run.s": 0}, "rejection", lambda c: check_rejection(c.run.s, 1, 1, 1, 1)),
+    ({"model.name": "bogus"}, "model", lambda c: c.build_model()),
+    ({"model.prior_sd": -1.0}, "model", lambda c: c.build_model()),
+    ({"model.trials": 0}, "model",
+     lambda c: make_model("bernoulli-count", trials=c.model.trials)),
+    ({"kernel.kind": "triangle"}, "kernel", lambda c: c.build_kernel()),
+    ({"kernel.h": -1.0}, "kernel", lambda c: c.build_kernel()),
+    ({"kernel.distance": "manhattan"}, "kernel", lambda c: c.build_kernel()),
+    ({"rejection.n_accept": 0}, "rejection",
+     lambda c: check_rejection(1, c.rejection.n_accept, 1, 1, 1)),
+    ({"rejection.block_size": 0}, "rejection",
+     lambda c: check_rejection(1, 1, 1, c.rejection.block_size, 1)),
+    ({"mcmc.variant": "bogus"}, "mcmc", lambda c: check_mcmc(c.mcmc.variant, 10, 1, 1)),
+    ({"mcmc.proposal": "bogus"}, "mcmc", lambda c: c.build_proposal()),
+    ({"mcmc.burn_in": 20_000}, "mcmc",
+     lambda c: check_mcmc("carried", c.mcmc.n_iter, c.mcmc.resolved_burn_in(), 1)),
+    ({"mcmc.thin": 0}, "mcmc", lambda c: check_mcmc("carried", 10, 1, c.mcmc.thin)),
+    ({"mcmc.step_sd": -0.5}, "mcmc", lambda c: c.build_proposal()),
+    ({"smc.variant": "bogus"}, "smc", lambda c: check_smc(c.smc.variant, 1, 10, 0.5)),
+    ({"smc.steps": 0}, "smc", lambda c: c.build_schedule()),
+    ({"smc.h_end": 3.0}, "smc", lambda c: c.build_schedule()),
+    ({"smc.particles": 1}, "smc", lambda c: check_smc("joint-move", 1, c.smc.particles, 0.5)),
+    ({"smc.ess_threshold": 1.5}, "smc",
+     lambda c: check_smc("joint-move", 1, 10, c.smc.ess_threshold)),
+    ({"smc.reject_threshold": 0.5}, "smc",
+     lambda c: check_smc(c.smc.variant, 1, 10, 0.5, c.smc.reject_threshold)),
+    ({"smc.variant": "backward", "smc.reject_threshold": 1.5}, "smc",
+     lambda c: check_smc(c.smc.variant, 1, 10, 0.5, c.smc.reject_threshold)),
+]
+
+
+def test_each_input_rule_has_one_owner():
+    # every section.key flag names a config field
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for p in commands.choices.values() for a in p._actions if "." in a.dest}
+    assert dests
+    for dest in dests:
+        section, key = dest.split(".")
+        assert section in {f.name for f in fields(RunConfig)}, dest
+        assert key in {f.name for f in fields(getattr(RunConfig(), section))}, dest
+    # validate reports each rule under its section, and the rule's owner rejects it too
+    for overrides, section, owner in _OWNED_RULES:
+        owner(RunConfig().validate())
+        cfg = RunConfig().apply_overrides(
+            {tuple(dest.split(".")): value for dest, value in overrides.items()})
+        with pytest.raises(ConfigurationError, match=re.escape(f"[{section}] ")):
+            cfg.validate()
+        with pytest.raises(ConfigurationError):
+            owner(cfg)
 
 
 def test_builders():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from lfs.models import BernoulliCountModel, NormalMeanModel
 from lfs.rejection import run_rejection
 from lfs.rng import substream
 from lfs.smc import (BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule,
-                     SmcVariantSpec, apply_particle_rejection, ess,
+                     apply_particle_rejection, check_arguments, ess,
                      incremental_weight_backward, incremental_weight_joint,
                      incremental_weight_joint_general, mixture_logdensity,
                      normalize_log_weights, run_smc, systematic_indices)
@@ -66,18 +67,22 @@ def test_schedule_validation():
         BandwidthSchedule([1.0, -0.5])
     with pytest.raises(ConfigurationError):
         BandwidthSchedule.geometric(0.5, 2.0, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # fails before numpy sees the infinite bandwidth
+        with pytest.raises(ConfigurationError):
+            BandwidthSchedule.geometric(math.inf, 0.25, 15)
     single = BandwidthSchedule.geometric(2.0, 0.4, 1)
     assert list(single.values) == [0.4]
 
 
 def test_variant_spec_validation():
-    SmcVariantSpec(BACKWARD_KERNEL, rejection_threshold=0.3)
+    check_arguments(BACKWARD_KERNEL, 1, 10, 0.5, reject_threshold=0.3)
     with pytest.raises(ConfigurationError):
-        SmcVariantSpec(JOINT_MCMC_MOVE, rejection_threshold=0.3)
+        check_arguments(JOINT_MCMC_MOVE, 1, 10, 0.5, reject_threshold=0.3)
     with pytest.raises(ConfigurationError):
-        SmcVariantSpec(BACKWARD_KERNEL, rejection_threshold=1.5)
+        check_arguments(BACKWARD_KERNEL, 1, 10, 0.5, reject_threshold=1.5)
     with pytest.raises(ConfigurationError):
-        SmcVariantSpec("bogus")
+        check_arguments("bogus", 1, 10, 0.5)
 
 
 # -- effective sample size and resampling ------------------------------------
@@ -486,9 +491,8 @@ def test_nan_simulator_output_raises_under_a_compact_kernel():
 
 def test_backward_with_threshold_still_targets(model, kernel):
     schedule = BandwidthSchedule.geometric(2.0, 0.5, 8)
-    out = run_smc(model, kernel, schedule, 1, 1500,
-                  SmcVariantSpec(BACKWARD_KERNEL, rejection_threshold=0.2),
-                  ProposalSpec(), seed=13, t_y=0.0)
+    out = run_smc(model, kernel, schedule, 1, 1500, BACKWARD_KERNEL, ProposalSpec(),
+                  seed=13, t_y=0.0, reject_threshold=0.2)
     mean, var = weighted_moments(out.thetas, out.weights)
     oracle_var = 1.0 / (1.0 + 1.0 / (1.0 + 0.25))
     se = math.sqrt(var[0] / out.ess_trace[-1])
