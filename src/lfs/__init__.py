@@ -12,7 +12,7 @@ from .target import (AugmentedState, joint_logdensity_unnorm, marginal_logestima
 from .rejection import RejectionOutput, run_rejection
 from .mcmc import CARRIED_BUNDLE, FRESH_DENOMINATOR, McmcOutput, ProposalSpec, run_mcmc
 from .smc import (BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule, ParticleSystem,
-                  SmcOutput, ess, incremental_weight_backward, incremental_weight_joint,
+                  SmcOutput, ess, incremental_weight_backward,
                   incremental_weight_joint_general, run_smc)
 from .diagnostics import ks_statistic, weighted_moments
 from .config import RunConfig
@@ -25,7 +25,7 @@ __all__ = [
     "McmcOutput", "Model", "NormalMeanModel", "ParticleCollapseError", "ParticleSystem",
     "ProposalSpec", "RejectionOutput", "RunConfig", "SmcOutput",
     "SmoothingKernel", "SummaryDistance", "ess", "incremental_weight_backward",
-    "incremental_weight_joint", "incremental_weight_joint_general",
+    "incremental_weight_joint_general",
     "joint_logdensity_unnorm", "ks_statistic", "make_model", "marginal_logestimate",
     "mh_step", "run_mcmc", "run_rejection", "run_smc", "simulate_checked", "substream",
     "weighted_moments",

@@ -118,22 +118,31 @@ def load_config(args):
     return cfg
 
 
-def out_path_for(cfg, args):
-    name = cfg.run.out or DEFAULT_OUT.get(args.command, "report.json")
-    return resolve_out_path(name)
+def _write_run(cfg, args, model, kernel, thetas, summary, before=(), after=(),
+               weights=None, ks_key="ks_vs_oracle"):
+    """Write a run's CSV and summary JSON; returns the CSV path.
 
-
-def _oracle_ks(model, kernel, t_y, thetas, weights=None):
-    try:
-        oracle = model.oracle(t_y, kernel)
-    except CapabilityError:
-        return None
-    return ks_statistic(thetas[:, 0], oracle.cdf, weights)
-
-
-def _moment_summary(thetas, weights=None):
+    CSV columns: the (name, column) pairs ``before``, the thetas, ``after``;
+    integer columns as integers.  The summary gains the posterior moments and,
+    if the model has an oracle for ``kernel``, the KS distance to it.
+    """
+    named = [*before, *((f"theta_{j}", thetas[:, j]) for j in range(thetas.shape[1])), *after]
+    config_text = cfg.to_text()
+    path = resolve_out_path(cfg.run.out or DEFAULT_OUT[args.command])
+    write_samples_csv(path, [name for name, _ in named],
+                      np.column_stack([column for _, column in named]), config_text,
+                      int_columns=[j for j, (_, column) in enumerate(named)
+                                   if column.dtype.kind in "biu"])
     mean, var = weighted_moments(thetas, weights)
-    return {"posterior_mean": list(mean), "posterior_variance": list(var)}
+    summary.update(posterior_mean=list(mean), posterior_variance=list(var))
+    try:
+        oracle = model.oracle(cfg.run.t_y, kernel)
+    except CapabilityError:
+        pass
+    else:
+        summary[ks_key] = ks_statistic(thetas[:, 0], oracle.cdf, weights)
+    write_json_summary(summary_path_for(path), summary, config_text, cfg.run.seed)
+    return path
 
 
 def cmd_reject(args):
@@ -144,26 +153,17 @@ def cmd_reject(args):
                         cfg.run.seed, budget=cfg.rejection.budget,
                         workers=args.workers,
                         block_size=cfg.rejection.block_size)
-    config_text = cfg.to_text()
-    path = out_path_for(cfg, args)
-    columns = [f"theta_{j}" for j in range(out.thetas.shape[1])]
-    write_samples_csv(path, columns, out.thetas, config_text)
-    if cfg.rejection.emit_bundles:
-        S, dim = out.bundles.shape[1], out.bundles.shape[2]
-        bcols = [f"t{s}_{j}" for s in range(S) for j in range(dim)]
-        write_samples_csv(os.path.splitext(path)[0] + ".bundles.csv", bcols,
-                          out.bundles.reshape(out.bundles.shape[0], -1), config_text)
-    summary = {
+    path = _write_run(cfg, args, model, kernel, out.thetas, {
         "command": "reject",
         "n_accepted": out.n_accepted,
         "proposals_used": out.proposals_used,
         "acceptance_rate": out.acceptance_rate,
-        **_moment_summary(out.thetas),
-    }
-    ks = _oracle_ks(model, kernel, cfg.run.t_y, out.thetas)
-    if ks is not None:
-        summary["ks_vs_oracle"] = ks
-    write_json_summary(summary_path_for(path), summary, config_text, cfg.run.seed)
+    })
+    if cfg.rejection.emit_bundles:
+        S, dim = out.bundles.shape[1], out.bundles.shape[2]
+        bcols = [f"t{s}_{j}" for s in range(S) for j in range(dim)]
+        write_samples_csv(os.path.splitext(path)[0] + ".bundles.csv", bcols,
+                          out.bundles.reshape(out.bundles.shape[0], -1), cfg.to_text())
     print(f"accepted {out.n_accepted} of {out.proposals_used} proposals "
           f"(rate {out.acceptance_rate:.4g}) -> {path}")
     return EXIT_OK
@@ -178,26 +178,17 @@ def cmd_mcmc(args):
                    cfg.build_proposal(), cfg.mcmc.n_iter, cfg.mcmc.resolved_burn_in(),
                    cfg.run.seed, init=init, thin=cfg.mcmc.thin,
                    chain_id=cfg.mcmc.chain_id)
-    config_text = cfg.to_text()
-    path = out_path_for(cfg, args)
-    columns = (["iteration"] + [f"theta_{j}" for j in range(out.thetas.shape[1])]
-               + ["accepted", "log_num"])
-    rows = np.column_stack([out.iterations, out.thetas, out.accepted, out.log_nums])
-    write_samples_csv(path, columns, rows, config_text,
-                      int_columns=[0, columns.index("accepted")])
     summary = {
         "command": "mcmc",
         "variant": out.variant,
         "acceptance_rate": out.acceptance_rate,
         "kept_samples": int(out.thetas.shape[0]),
-        **_moment_summary(out.thetas),
     }
     if out.variant == "fresh":
         summary["note"] = "biased reference variant (fresh denominator)"
-    ks = _oracle_ks(model, kernel, cfg.run.t_y, out.thetas)
-    if ks is not None:
-        summary["ks_vs_oracle"] = ks
-    write_json_summary(summary_path_for(path), summary, config_text, cfg.run.seed)
+    path = _write_run(cfg, args, model, kernel, out.thetas, summary,
+                      before=[("iteration", out.iterations)],
+                      after=[("accepted", out.accepted), ("log_num", out.log_nums)])
     print(f"{out.variant} chain: {out.thetas.shape[0]} kept samples, "
           f"acceptance {out.acceptance_rate:.4g} -> {path}")
     return EXIT_OK
@@ -211,13 +202,6 @@ def cmd_smc(args):
                   cfg.smc.variant, cfg.build_mutation(), cfg.run.seed, cfg.run.t_y,
                   ess_threshold=cfg.smc.ess_threshold,
                   reject_threshold=cfg.smc.reject_threshold)
-    config_text = cfg.to_text()
-    path = out_path_for(cfg, args)
-    columns = (["particle"] + [f"theta_{j}" for j in range(out.thetas.shape[1])]
-               + ["weight"])
-    rows = np.column_stack([np.arange(out.thetas.shape[0]), out.thetas, out.weights])
-    write_samples_csv(path, columns, rows, config_text, int_columns=[0])
-    mean, var = weighted_moments(out.thetas, out.weights)
     summary = {
         "command": "smc",
         "variant": out.variant,
@@ -225,14 +209,11 @@ def cmd_smc(args):
         "acceptance_trace": list(out.acceptance_trace),
         "resampled_steps": list(out.resampled_steps),
         "bandwidths": list(out.schedule.values),
-        "posterior_mean": list(mean),
-        "posterior_variance": list(var),
     }
-    ks = _oracle_ks(model, kernel.with_bandwidth(out.schedule.values[-1]),
-                    cfg.run.t_y, out.thetas, out.weights)
-    if ks is not None:
-        summary["ks_vs_oracle_at_final_h"] = ks
-    write_json_summary(summary_path_for(path), summary, config_text, cfg.run.seed)
+    path = _write_run(cfg, args, model, kernel.with_bandwidth(out.schedule.values[-1]),
+                      out.thetas, summary, before=[("particle", np.arange(len(out.thetas)))],
+                      after=[("weight", out.weights)], weights=out.weights,
+                      ks_key="ks_vs_oracle_at_final_h")
     print(f"{out.variant} SMC: final ESS {out.ess_trace[-1]:.1f} of "
           f"{out.thetas.shape[0]} particles -> {path}")
     return EXIT_OK

@@ -19,6 +19,7 @@ from .models import MODEL_NAMES, make_model
 from .rejection import DEFAULT_BLOCK_SIZE, DEFAULT_BUDGET, check_arguments as check_rejection
 from .rng import MAX_SEED
 from .smc import BandwidthSchedule, check_arguments as check_smc
+from .target import check_bundle_size
 
 
 @dataclass
@@ -178,12 +179,13 @@ class RunConfig:
     def validate(self):
         """Check every section by building what it describes.
 
-        The rules live in the constructors and in each sampler's
-        ``check_arguments``; only the seed range, a finite ``t_y`` and the
-        experiment level have no other owner and are stated here.  Each failing
+        The rules live in the constructors and the samplers' checks, which the
+        experiments' step sds and S grids go through too; only the seed range, a
+        finite ``t_y`` and the experiment level are stated here.  Each failing
         section adds one message, prefixed by the section's name.
         """
-        run, rej, mcmc, smc = self.run, self.rejection, self.mcmc, self.smc
+        run, rej, mcmc, smc, exp = (self.run, self.rejection, self.mcmc, self.smc,
+                                    self.experiment)
         checks = [
             ("run", lambda: _require(0 <= run.seed <= MAX_SEED,
                                      "seed must be a 64-bit unsigned integer")),
@@ -201,8 +203,11 @@ class RunConfig:
             ("smc", self.build_schedule),
             ("smc", lambda: check_smc(smc.variant, run.s, smc.particles,
                                       smc.ess_threshold, smc.reject_threshold)),
-            ("experiment", lambda: _require(0 < self.experiment.level < 1,
-                                            "level must lie in (0, 1)")),
+            ("experiment", lambda: _require(0 < exp.level < 1, "level must lie in (0, 1)")),
+            ("experiment", lambda: [ProposalSpec("random-walk", sd)
+                                    for sd in (exp.bias_step_sd, exp.sinv_step_sd)]),
+            ("experiment", lambda: [check_bundle_size(S) for S in (
+                *exp.cross_s_grid, *exp.bias_s_grid, *exp.sinv_s_grid)]),
         ]
         problems = {}
         for section, check in checks:

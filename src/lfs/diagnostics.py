@@ -54,16 +54,6 @@ def ks_critical_value(n, alpha=0.01):
     return float(kolmogi(alpha)) / math.sqrt(n)
 
 
-def ks_2sample(a, b):
-    """Two-sample KS statistic (no ties expected: continuous data)."""
-    a = np.sort(np.asarray(a, dtype=float).reshape(-1))
-    b = np.sort(np.asarray(b, dtype=float).reshape(-1))
-    pooled = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
-    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
 def ks_2sample_permutation(a, b, rng, n_perm=499):
     """Two-sample KS with a permutation p-value.
 

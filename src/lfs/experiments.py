@@ -48,7 +48,7 @@ def dual_bookkeeping_mcmc(config, seed=None):
     """
     model = config.build_model()
     kernel = config.build_kernel()
-    proposal = config.build_proposal().resolved(model)
+    proposal = config.build_proposal()
     t_y = config.run.t_y
     seed = config.run.seed if seed is None else seed
     n_iter = config.experiment.equivalence_iters
@@ -87,7 +87,7 @@ def dual_bookkeeping_smc(config, seed=None):
     step's moves at a time."""
     model = config.build_model()
     kernel = config.build_kernel()
-    mutation = config.build_mutation().resolved(model)
+    mutation = config.build_mutation()
     t_y = config.run.t_y
     seed = config.run.seed if seed is None else seed
     n_particles = config.experiment.equivalence_particles

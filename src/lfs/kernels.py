@@ -57,15 +57,6 @@ class SummaryDistance:
             return np.sqrt(np.sum(u * u, axis=-1))
         return np.sqrt(np.sum(self.weights * u * u, axis=-1))
 
-    def __eq__(self, other):
-        if not isinstance(other, SummaryDistance):
-            return NotImplemented
-        if self.norm != other.norm:
-            return False
-        if self.weights is None:
-            return other.weights is None
-        return other.weights is not None and np.array_equal(self.weights, other.weights)
-
 
 class SmoothingKernel:
     """Nonnegative symmetric weighting function with bandwidth h > 0.
@@ -104,10 +95,6 @@ class SmoothingKernel:
         """Kernel value at difference vector(s) u; vectorized over leading axes."""
         return self._profile(self.distance.of_difference(u) / self.bandwidth)
 
-    def log_evaluate(self, u):
-        """log evaluate(u), with -inf outside compact supports."""
-        return self._log_profile(self.distance.of_difference(u) / self.bandwidth)
-
     def sup_value(self):
         """The profile's maximum, attained at zero distance."""
         return float(self._profile(0.0))
@@ -139,7 +126,7 @@ class SmoothingKernel:
         """log of the arithmetic mean of the kernel over the bundle's S summaries.
 
         ``bundle`` is (S, dim) or (..., S, dim); -inf means every summary fell
-        outside a compact kernel's support.  At S = 1 this is ``log_evaluate``.
+        outside a compact kernel's support.  At S = 1 this is the log profile.
         """
         d = self._bundle_distances(t_y, bundle)
         if d.shape[-1] == 1:
@@ -166,12 +153,6 @@ class SmoothingKernel:
             raise ConfigurationError("bundle must contain at least one summary (S >= 1)")
         t_y = np.atleast_1d(np.asarray(t_y, dtype=float))
         return self.distance.of_difference(t_y - bundle) / self.bandwidth
-
-    def __eq__(self, other):
-        if not isinstance(other, SmoothingKernel):
-            return NotImplemented
-        return (self.kind == other.kind and self.bandwidth == other.bandwidth
-                and self.distance == other.distance)
 
     def __repr__(self):
         return f"SmoothingKernel({self.kind!r}, h={self.bandwidth})"

@@ -44,10 +44,10 @@ class ProposalSpec:
     ``random-walk``: Gaussian with per-dimension step sd (symmetric).
     ``prior``: independence proposal from the model's prior.
 
-    A ``None`` step sd resolves to half the prior sd per dimension — a
+    A ``None`` step sd means half the prior sd per dimension (``step``) — a
     documented default so experiments stay reproducible.  ``sample`` and
-    ``logdensity`` need the resolved spec and are vectorized over leading
-    axes: theta (..., param_dim) is a batch, (param_dim,) a single point.
+    ``logdensity`` are vectorized over leading axes: theta (..., param_dim)
+    is a batch, (param_dim,) a single point.
     """
 
     kind: str = "random-walk"
@@ -63,10 +63,9 @@ class ProposalSpec:
                 raise ConfigurationError(
                     f"proposal step sd must be positive and finite, got {self.step_sd}")
 
-    def resolved(self, model):
-        if self.kind == "random-walk" and self.step_sd is None:
-            return ProposalSpec(self.kind, model.prior_sd() / 2.0)
-        return self
+    def step(self, model):
+        """The random-walk step sd: ``step_sd``, or half the prior sd when unset."""
+        return model.prior_sd() / 2.0 if self.step_sd is None else self.step_sd
 
     @property
     def symmetric(self):
@@ -76,14 +75,15 @@ class ProposalSpec:
     def sample(self, theta, model, rng):
         if self.kind == "prior":
             return model.prior_sample(rng, np.shape(theta)[:-1])
-        return theta + self.step_sd * rng.standard_normal(np.shape(theta))
+        return theta + self.step(model) * rng.standard_normal(np.shape(theta))
 
     def logdensity(self, frm, to, model):
         """log q(frm -> to); pointwise evaluable for both kinds."""
         if self.kind == "prior":
             return model.prior_logdensity(to)
-        z = (np.asarray(to, dtype=float) - np.asarray(frm, dtype=float)) / self.step_sd
-        return np.sum(-0.5 * z * z - np.log(self.step_sd) - _LOG_SQRT_2PI, axis=-1)
+        step = self.step(model)
+        z = (np.asarray(to, dtype=float) - np.asarray(frm, dtype=float)) / step
+        return np.sum(-0.5 * z * z - np.log(step) - _LOG_SQRT_2PI, axis=-1)
 
     def log_q_ratio(self, curr, prop, model):
         """log q(prop -> curr) - log q(curr -> prop); exactly 0.0 when symmetric."""
@@ -101,9 +101,6 @@ class McmcOutput:
     acceptance_rate: float
     variant: str
     n_iter: int
-    burn_in: int
-    thin: int
-    seed: int
 
 
 def _simulated_state(theta, model, kernel, t_y, S, rng, stream, iteration):
@@ -154,7 +151,6 @@ def run_mcmc(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, seed, *,
     scheduling.
     """
     check_arguments(variant, n_iter, burn_in, thin)
-    proposal = proposal.resolved(model)
 
     stream = (seed, "mcmc", "chain", chain_id)
     rng = substream(*stream)
@@ -192,5 +188,5 @@ def run_mcmc(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, seed, *,
         accepted=np.asarray(kept_flags, dtype=bool),
         log_nums=np.asarray(kept_lognums, dtype=float),
         acceptance_rate=n_accepted / n_iter,
-        variant=variant, n_iter=n_iter, burn_in=burn_in, thin=thin, seed=seed,
+        variant=variant, n_iter=n_iter,
     )

@@ -116,9 +116,6 @@ class Model:
     def oracle(self, t_y, kernel):
         raise CapabilityError(f"model {self.name!r} has no analytic oracle")
 
-    def hyperparameters(self):
-        return {}
-
 
 def _as_theta(theta, param_dim):
     """theta as a float array of shape (..., param_dim); DomainError otherwise."""
@@ -221,9 +218,6 @@ class NormalMeanModel(Model):
 
         return _grid_oracle(unnorm, lo, hi)
 
-    def hyperparameters(self):
-        return {"prior_mean": self.prior_mean, "prior_sd": self._prior_sd, "tau": self.tau}
-
 
 class BernoulliCountModel(Model):
     """Success-count model: theta ~ Uniform(0,1), t | theta ~ Binomial(m, theta)."""
@@ -286,9 +280,6 @@ class BernoulliCountModel(Model):
             return np.exp(self.smoothed_loglik(th, t_y, kernel))
 
         return _grid_oracle(unnorm, 0.0, 1.0)
-
-    def hyperparameters(self):
-        return {"trials": self.trials}
 
 
 def _grid_oracle(unnorm, lo, hi, n_grid=50_001):

@@ -18,11 +18,6 @@ CONFIG_PREFIX = "# "
 _CSV_BLOCK_ROWS = 64
 
 
-def format_float(x):
-    """Shortest decimal form that round-trips to the same double."""
-    return repr(float(x))
-
-
 def default_out_dir():
     """Output directory: $LFS_OUT_DIR if set, else the working directory."""
     return os.environ.get("LFS_OUT_DIR", ".")
@@ -42,12 +37,13 @@ def _echo_lines(config_text):
 def write_samples_csv(path, columns, rows, config_text, int_columns=()):
     """UTF-8 CSV: '# '-prefixed config echo, header row, full-precision rows.
 
-    Each cell is written as ``format_float`` writes it, integers and booleans
-    as integers, and so are the cells of the columns indexed by
-    ``int_columns``, which must hold integral values.  Rows are converted a
-    block at a time: the repr of a nested list of Python floats or ints is
-    exactly those cells joined by ", " and "], [", which no float's or int's
-    repr contains.  The block bounds the memory the text takes.
+    Each float cell is written as its repr, the shortest decimal form that
+    round-trips to the same double; integers and booleans are written as
+    integers, and so are the cells of the columns indexed by ``int_columns``,
+    which must hold integral values.  Rows are converted a block at a time:
+    the repr of a nested list of Python floats or ints is exactly those cells
+    joined by ", " and "], [", which no float's or int's repr contains.  The
+    block bounds the memory the text takes.
     """
     rows = np.asarray(rows)
     if rows.dtype.kind == "b":

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetExhaustedError, ConfigurationError
 from .rng import substream
-from .target import simulate_checked
+from .target import check_bundle_size, simulate_checked
 
 logger = logging.getLogger(__name__)
 
@@ -38,7 +38,6 @@ class RejectionOutput:
     thetas: np.ndarray            # (n_accept, param_dim)
     bundles: np.ndarray           # (n_accept, S, summary_dim)
     proposals_used: int
-    seed: int = 0
 
     @property
     def n_accepted(self):
@@ -63,8 +62,7 @@ def _evaluate_block(model, kernel, t_y, S, seed, block, block_size):
 
 def check_arguments(S, n_accept, budget, block_size, workers):
     """The checks ``run_rejection`` makes on its scalar arguments."""
-    if S < 1:
-        raise ConfigurationError("S must be >= 1")
+    check_bundle_size(S)
     if n_accept < 1:
         raise ConfigurationError("n_accept must be >= 1")
     if workers < 1 or block_size < 1 or budget < 1:
@@ -102,11 +100,9 @@ def run_rejection(model, kernel, t_y, S, n_accept, seed, *,
     next_log = LOG_EVERY
 
     def finish(final_block, within):
-        proposals_used = final_block * block_size + within
-        thetas = np.concatenate(acc_thetas)[:n_accept]
-        bundles = np.concatenate(acc_bundles)[:n_accept]
-        return RejectionOutput(thetas=thetas, bundles=bundles,
-                               proposals_used=proposals_used, seed=seed)
+        return RejectionOutput(thetas=np.concatenate(acc_thetas)[:n_accept],
+                               bundles=np.concatenate(acc_bundles)[:n_accept],
+                               proposals_used=final_block * block_size + within)
 
     def handle(block, result):
         """Consume one block (in order). Returns output when n_accept is reached."""

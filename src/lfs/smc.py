@@ -33,7 +33,8 @@ import numpy as np
 from .errors import ConfigurationError, ParticleCollapseError
 from .kernels import _LOG_SQRT_2PI
 from .rng import substream
-from .target import AugmentedState, MoveRecord, log_quotient, mh_step, simulate_checked
+from .target import (AugmentedState, MoveRecord, check_bundle_size, log_quotient, mh_step,
+                     simulate_checked)
 
 JOINT_MCMC_MOVE = "joint-move"
 BACKWARD_KERNEL = "backward"
@@ -77,13 +78,11 @@ class BandwidthSchedule:
 class SmcOutput:
     thetas: np.ndarray             # (N, param_dim)
     weights: np.ndarray            # normalized
-    log_weights: np.ndarray        # normalized, log scale
     ess_trace: np.ndarray          # per step, length n_steps
     acceptance_trace: np.ndarray   # joint-move mutation acceptance per step (k >= 2)
     resampled_steps: np.ndarray
     schedule: BandwidthSchedule
     variant: str
-    seed: int
 
 
 def ess(weights):
@@ -115,18 +114,6 @@ def systematic_indices(weights, rng):
     cum = np.cumsum(w)
     cum[-1] = 1.0  # guard against roundoff at the top
     return np.searchsorted(cum, positions)
-
-
-def incremental_weight_joint(log_pooled_new, log_pooled_prev):
-    """Reduced joint-space incremental weight: pooled-kernel ratio on the pre-move bundle.
-
-    With a mutation kernel invariant for the new distribution and its
-    time-reversal as backward kernel, everything else in the general form
-    cancels and the weight is the bandwidth-tightening factor alone, from the
-    pre-move bundles' log pooled kernel at the new and the previous bandwidth,
-    vectorized over particles.  -inf when the tightened kernel kills the particle.
-    """
-    return log_quotient(log_pooled_new, log_pooled_prev)
 
 
 def incremental_weight_joint_general(log_pooled_new, log_prior_new, log_backward,
@@ -165,7 +152,7 @@ def mixture_logdensity(prev_thetas, prev_log_weights, new_thetas, mutation, mode
         return model.prior_logdensity(new_thetas)
     prev_thetas = np.atleast_2d(np.asarray(prev_thetas, dtype=float))
     n_new, d = new_thetas.shape
-    step = np.broadcast_to(mutation.resolved(model).step_sd, (d,))
+    step = np.broadcast_to(mutation.step(model), (d,))
     out = np.full(n_new, -np.inf)
     live = ~np.isneginf(prev_log_weights)
     n_live = int(np.count_nonzero(live))
@@ -269,8 +256,7 @@ def check_arguments(variant, S, N, ess_threshold, reject_threshold=None):
             raise ConfigurationError("reject_threshold is only valid for the backward variant")
         if not 0.0 < reject_threshold < 1.0:
             raise ConfigurationError("reject_threshold must lie in (0, 1)")
-    if S < 1:
-        raise ConfigurationError("S must be >= 1")
+    check_bundle_size(S)
     if N < 2:
         raise ConfigurationError("need at least two particles")
     if not 0.0 < ess_threshold <= 1.0:
@@ -303,7 +289,6 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
     check_arguments(variant, S, N, ess_threshold, reject_threshold)
     if on_mutation is not None and variant != JOINT_MCMC_MOVE:
         raise ConfigurationError("on_mutation records MH moves; only joint-move SMC makes them")
-    mutation = mutation.resolved(model)
     hs = schedule.values
 
     # step 1: prior draws, bundles, weights proportional to the pooled kernel
@@ -324,10 +309,12 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
         system.k = k
         kern = kernel.with_bandwidth(hs[k - 1])
         if variant == JOINT_MCMC_MOVE:
-            # reweight with the bandwidth-tightening factor on the pre-move bundles
+            # reweight by the bandwidth-tightening factor on the pre-move bundles: with
+            # a mutation invariant for the new target and its time-reversal as the
+            # backward kernel, the general joint weight reduces to the pooled-kernel
+            # ratio at the new and the previous bandwidth (-inf kills the particle)
             log_pooled = kern.log_pooled(t_y, system.bundles)
-            system.log_weights = system.log_weights + incremental_weight_joint(
-                log_pooled, system.log_pooled)
+            system.log_weights = system.log_weights + log_quotient(log_pooled, system.log_pooled)
             system.log_pooled = log_pooled
             norm_w = system.normalized_weights()
         else:
@@ -383,11 +370,9 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
                 norm_w = system.normalized_weights()
         ess_trace.append(ess(norm_w))
 
-    with np.errstate(divide="ignore"):
-        log_norm = np.log(norm_w)
     return SmcOutput(
-        thetas=system.thetas, weights=norm_w, log_weights=log_norm,
+        thetas=system.thetas, weights=norm_w,
         ess_trace=np.asarray(ess_trace), acceptance_trace=np.asarray(acceptance_trace),
         resampled_steps=np.asarray(resampled_steps, dtype=np.int64),
-        schedule=schedule, variant=variant, seed=seed,
+        schedule=schedule, variant=variant,
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 
 
 @dataclass
@@ -55,6 +55,12 @@ class MoveRecord:
     log_ratio: np.ndarray
     u: np.ndarray
     accepted: np.ndarray
+
+
+def check_bundle_size(S):
+    """The rule every sampler check applies to S, the summaries simulated per theta."""
+    if S < 1:
+        raise ConfigurationError("S must be >= 1")
 
 
 def simulate_checked(model, theta, S, rng, stream=None, iteration=None):

@@ -71,7 +71,7 @@ def test_smc_summary_contents(tmp_path):
     assert len(summary["bandwidths"]) == 5
 
 
-def test_validate_config_ok_and_bad(tmp_path):
+def test_validate_config_ok_and_bad(tmp_path, capsys):
     good = tmp_path / "good.cfg"
     good.write_text("[kernel]\nkind = uniform\nh = 0.5\n")
     assert run_cli(["validate-config", "--config", str(good)]) == 0
@@ -80,14 +80,19 @@ def test_validate_config_ok_and_bad(tmp_path):
     assert run_cli(["validate-config", "--config", str(bad)]) == cli.EXIT_CONFIG
     missing = tmp_path / "missing.cfg"
     assert run_cli(["validate-config", "--config", str(missing)]) == cli.EXIT_CONFIG
-    # configs every run command rejects must not validate either
+    # configs that a run command or an experiment rejects must not validate either
     for i, text in enumerate(["[kernel]\ndistance = weighted-euclidean\n",
                               "[smc]\nsteps = 1\nh_end = -1\n",
                               "[smc]\nh_start = inf\n",
-                              "[model]\ntau = nan\n"]):
+                              "[model]\ntau = nan\n",
+                              "[experiment]\nsinv_step_sd = nan\n",
+                              "[experiment]\nbias_s_grid = 0\n",
+                              "[experiment]\ncross_s_grid = 1, 0\n"]):
         rejected = tmp_path / f"rejected{i}.cfg"
         rejected.write_text(text)
         assert run_cli(["validate-config", "--config", str(rejected)]) == cli.EXIT_CONFIG, text
+        section = text[:text.index("]") + 1]
+        assert section in capsys.readouterr().err, text
 
 
 def test_budget_exhaustion_exit_code(tmp_path):

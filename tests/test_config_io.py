@@ -11,12 +11,12 @@ from lfs import cli
 from lfs.config import RunConfig
 from lfs.diagnostics import weighted_moments
 from lfs.errors import ConfigurationError
-from lfs.mcmc import check_arguments as check_mcmc
+from lfs.mcmc import ProposalSpec, check_arguments as check_mcmc
 from lfs.models import make_model
-from lfs.output import (embedded_config, format_float, read_samples_csv,
-                        write_json_summary, write_samples_csv)
+from lfs.output import embedded_config, read_samples_csv, write_json_summary, write_samples_csv
 from lfs.rejection import check_arguments as check_rejection
 from lfs.smc import check_arguments as check_smc
+from lfs.target import check_bundle_size
 
 
 def test_config_round_trip_identity():
@@ -99,6 +99,10 @@ _OWNED_RULES = [
      lambda c: check_smc(c.smc.variant, 1, 10, 0.5, c.smc.reject_threshold)),
     ({"smc.variant": "backward", "smc.reject_threshold": 1.5}, "smc",
      lambda c: check_smc(c.smc.variant, 1, 10, 0.5, c.smc.reject_threshold)),
+    ({"experiment.bias_step_sd": math.nan}, "experiment",
+     lambda c: ProposalSpec("random-walk", c.experiment.bias_step_sd)),
+    ({"experiment.sinv_s_grid": (1, 0)}, "experiment",
+     lambda c: [check_bundle_size(S) for S in c.experiment.sinv_s_grid]),
 ]
 
 
@@ -216,7 +220,7 @@ def _per_cell_csv(path, columns, rows, config_text, int_columns=()):
             return "1" if cell else "0"
         if isinstance(cell, (int, np.integer)):
             return str(int(cell))
-        return format_float(cell)
+        return repr(float(cell))
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(f"# {line}\n" for line in config_text.splitlines()))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lfs.diagnostics import (batch_means_se, bootstrap_mean_diff_ci, ks_2sample,
-                             ks_2sample_permutation, ks_critical_value,
-                             ks_statistic, weighted_moments)
+from lfs.diagnostics import (batch_means_se, bootstrap_mean_diff_ci, ks_2sample_permutation,
+                             ks_critical_value, ks_statistic, weighted_moments)
 from lfs.rng import substream
 
 
@@ -81,7 +80,10 @@ def test_ks_2sample_matches_scipy():
     rng = substream(5, "d")
     a = rng.normal(size=400)
     b = rng.normal(size=300) + 0.2
-    assert ks_2sample(a, b) == pytest.approx(stats.ks_2samp(a, b).statistic, abs=1e-12)
+    # the permutation test's observed statistic, with no permutation drawn
+    stat, p_value = ks_2sample_permutation(a, b, rng, n_perm=0)
+    assert stat == pytest.approx(stats.ks_2samp(a, b).statistic, abs=1e-12)
+    assert p_value == 1.0
 
 
 def test_ks_2sample_permutation_null_and_alternative():

@@ -19,7 +19,7 @@ def test_uniform_inside_support():
 def test_uniform_outside_support():
     k = SmoothingKernel("uniform", 1.0)
     assert k.evaluate(np.array([2.0])) == 0.0
-    assert k.log_evaluate(np.array([2.0])) == -np.inf
+    assert k.log_pooled(0.0, np.array([[2.0]])) == -np.inf
 
 
 def test_gaussian_at_zero():
@@ -37,7 +37,8 @@ def test_pooled_is_arithmetic_mean():
 def test_pooled_identity_at_s1():
     k = SmoothingKernel("gaussian", 0.7)
     bundle = np.array([[0.31]])
-    assert k.log_pooled(0.0, bundle) == k.log_evaluate(np.array([0.31]))
+    assert k.log_pooled(0.0, bundle) == pytest.approx(
+        -0.5 * (0.31 / 0.7) ** 2 - math.log(0.7 * math.sqrt(2.0 * math.pi)), abs=1e-15)
     assert k.log_pooled(0.0, bundle) == pytest.approx(
         math.log(np.mean(k.evaluate(0.0 - bundle), axis=-1)), abs=1e-15)
 
@@ -138,6 +139,18 @@ _PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=150,
                               deadline=None)
 
 
+def _log_profile(kernel, u):
+    """log K(u) from the profile formulas in ``SmoothingKernel``'s docstring, per summary."""
+    h = kernel.bandwidth
+    d = np.sqrt(np.sum(u * u, axis=-1)) / h
+    with np.errstate(divide="ignore"):
+        if kernel.kind == "uniform":
+            return np.where(d <= 1.0, np.log(1.0 / (2.0 * h)), -np.inf)
+        if kernel.kind == "epanechnikov":
+            return np.log(np.where(d <= 1.0, 3.0 / (4.0 * h) * (1.0 - d * d), 0.0))
+        return -d * d / 2.0 - np.log(h * math.sqrt(2.0 * math.pi))
+
+
 @st.composite
 def _kernel_and_bundle(draw, s=None):
     kind = draw(st.sampled_from(KERNEL_KINDS))
@@ -171,7 +184,7 @@ def test_log_pooled_is_log_of_pooled(case):
     # on every row, including gaussian rows whose linear mean underflows, it is
     # the log-sum-exp of the per-summary logs less log S
     with np.errstate(divide="ignore"):
-        lse = np.asarray(logsumexp(kernel.log_evaluate(t_y - bundle), axis=-1)
+        lse = np.asarray(logsumexp(_log_profile(kernel, t_y - bundle), axis=-1)
                          - math.log(bundle.shape[-2]))
     assert np.array_equal(np.isneginf(log_pooled), np.isneginf(lse))
     live = ~np.isneginf(lse)
@@ -195,7 +208,10 @@ def test_log_pooled_invariant_to_bundle_order(case, random):
 
 @_PROPERTY_SETTINGS
 @given(_kernel_and_bundle(s=1))
-def test_log_pooled_of_one_summary_is_log_evaluate(case):
+def test_log_pooled_of_one_summary_is_its_log_profile(case):
     kernel, t_y, bundle = case
-    assert np.array_equal(np.asarray(kernel.log_pooled(t_y, bundle)),
-                          np.asarray(kernel.log_evaluate(t_y - bundle[..., 0, :])))
+    got = np.asarray(kernel.log_pooled(t_y, bundle))
+    ref = _log_profile(kernel, t_y - bundle[..., 0, :])
+    assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+    live = ~np.isneginf(ref)
+    np.testing.assert_allclose(got[live], ref[live], rtol=1e-12, atol=1e-12)

@@ -14,6 +14,7 @@ from lfs.kernels import SmoothingKernel
 from lfs.mcmc import ProposalSpec
 from lfs.models import BernoulliCountModel, NormalMeanModel, make_model
 from lfs.rng import substream
+from lfs.smc import mixture_logdensity
 
 
 @pytest.fixture
@@ -79,7 +80,7 @@ def test_single_theta_is_row_zero_of_a_batch_of_one(normal_mean, bernoulli):
         assert sim.shape == (7, model.summary_dim)
         same(sim, sims)
         for kind in ("random-walk", "prior"):
-            proposal = ProposalSpec(kind).resolved(model)
+            proposal = ProposalSpec(kind)
             prop = proposal.sample(theta, model, substream(20, model.name, kind))
             props = proposal.sample(thetas, model, substream(20, model.name, kind))
             same(prop, props)
@@ -87,6 +88,21 @@ def test_single_theta_is_row_zero_of_a_batch_of_one(normal_mean, bernoulli):
                  proposal.logdensity(thetas, props, model))
             same(np.asarray(proposal.log_q_ratio(theta, prop, model)),
                  np.broadcast_to(proposal.log_q_ratio(thetas, props, model), (1,)))
+
+
+def test_unset_step_sd_is_half_the_prior_sd_bit_for_bit(normal_mean, bernoulli):
+    # ProposalSpec() reads its step from the model wherever it is used
+    for model in (normal_mean, bernoulli):
+        unset, explicit = ProposalSpec(), ProposalSpec(step_sd=model.prior_sd() / 2)
+        thetas = np.full((6, 1), 0.5)
+        props = [p.sample(thetas, model, substream(23, model.name)) for p in (unset, explicit)]
+        assert props[0].tobytes() == props[1].tobytes()
+        prop = props[0]
+        log_w = np.log(np.full(6, 1.0 / 6.0))
+        for f in (lambda p: p.logdensity(thetas, prop, model),
+                  lambda p: p.log_q_ratio(thetas, prop, model),
+                  lambda p: mixture_logdensity(thetas, log_w, prop, p, model)):
+            assert np.asarray(f(unset)).tobytes() == np.asarray(f(explicit)).tobytes()
 
 
 def test_non_finite_theta_has_zero_prior_density(normal_mean, bernoulli):
@@ -429,7 +445,7 @@ def test_bernoulli_smoothed_loglik_skips_zero_kernel_terms_bit_for_bit(monkeypat
 
 def test_make_model_registry():
     m = make_model("normal-mean", prior_mean=1.0, prior_sd=2.0, tau=0.5)
-    assert m.hyperparameters() == {"prior_mean": 1.0, "prior_sd": 2.0, "tau": 0.5}
+    assert (m.prior_mean, m.prior_sd()[0], m.tau) == (1.0, 2.0, 0.5)
     b = make_model("bernoulli-count", trials=10)
     assert b.trials == 10
     with pytest.raises(ConfigurationError):
@@ -449,3 +465,12 @@ def test_public_names_resolve_and_test_only_names_are_gone():
     for name in test_only:
         assert not hasattr(lfs, name), name
     assert not hasattr(lfs.SummaryDistance, "between")
+    # second copies and unreached names, deleted
+    gone = [(lfs, "incremental_weight_joint"), (lfs.smc, "incremental_weight_joint"),
+            (lfs.ProposalSpec, "resolved"), (lfs.SmoothingKernel, "log_evaluate"),
+            (lfs.Model, "hyperparameters"), (lfs.NormalMeanModel, "hyperparameters"),
+            (lfs.BernoulliCountModel, "hyperparameters"), (lfs.diagnostics, "ks_2sample"),
+            (lfs.output, "format_float")]
+    assert "incremental_weight_joint" not in lfs.__all__
+    for owner, name in gone:
+        assert not hasattr(owner, name), (owner, name)

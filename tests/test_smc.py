@@ -19,10 +19,9 @@ from lfs.rejection import run_rejection
 from lfs.rng import substream
 from lfs.smc import (BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule,
                      apply_particle_rejection, check_arguments, ess,
-                     incremental_weight_backward, incremental_weight_joint,
-                     incremental_weight_joint_general, mixture_logdensity,
+                     incremental_weight_backward, incremental_weight_joint_general, mixture_logdensity,
                      normalize_log_weights, run_smc, systematic_indices)
-from lfs.target import joint_logdensity_unnorm, mh_step
+from lfs.target import joint_logdensity_unnorm, log_quotient, mh_step
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -126,8 +125,9 @@ def test_systematic_unbiased_offspring_counts():
 
 
 def _joint_weight(kernel, bundles, h_new, h_prev):
-    return incremental_weight_joint(kernel.with_bandwidth(h_new).log_pooled(0.0, bundles),
-                                    kernel.with_bandwidth(h_prev).log_pooled(0.0, bundles))
+    # the joint-move weight: pooled-kernel ratio at the two bandwidths
+    return log_quotient(kernel.with_bandwidth(h_new).log_pooled(0.0, bundles),
+                        kernel.with_bandwidth(h_prev).log_pooled(0.0, bundles))
 
 
 def test_joint_weight_zero_when_bandwidth_unchanged(kernel):
@@ -360,7 +360,7 @@ def test_joint_move_records_replay_through_mh_step():
     model = BernoulliCountModel()
     kernel = SmoothingKernel("gaussian", 1.0)
     schedule = BandwidthSchedule.geometric(2.0, 0.3, 6)
-    mutation = ProposalSpec().resolved(model)
+    mutation = ProposalSpec()
     records = []
     run_smc(model, kernel, schedule, 2, 200, JOINT_MCMC_MOVE, mutation, seed=37, t_y=7.0,
             on_mutation=records.append)
