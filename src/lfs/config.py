@@ -19,7 +19,7 @@ from .models import MODEL_NAMES, make_model
 from .rejection import DEFAULT_BLOCK_SIZE, DEFAULT_BUDGET, check_arguments as check_rejection
 from .rng import MAX_SEED
 from .smc import BandwidthSchedule, check_arguments as check_smc
-from .target import check_bundle_size
+from .target import check_s_grid
 
 
 @dataclass
@@ -206,8 +206,8 @@ class RunConfig:
             ("experiment", lambda: _require(0 < exp.level < 1, "level must lie in (0, 1)")),
             ("experiment", lambda: [ProposalSpec("random-walk", sd)
                                     for sd in (exp.bias_step_sd, exp.sinv_step_sd)]),
-            ("experiment", lambda: [check_bundle_size(S) for S in (
-                *exp.cross_s_grid, *exp.bias_s_grid, *exp.sinv_s_grid)]),
+            ("experiment", lambda: [check_s_grid(name, getattr(exp, name)) for name in (
+                "cross_s_grid", "bias_s_grid", "sinv_s_grid")]),
         ]
         problems = {}
         for section, check in checks:

@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-from scipy.special import kolmogi
 
 
 def weighted_moments(samples, weights=None):
@@ -51,6 +50,7 @@ def ks_statistic(samples, cdf, weights=None):
 
 def ks_critical_value(n, alpha=0.01):
     """Asymptotic one-sample KS critical value at significance alpha."""
+    from scipy.special import kolmogi
     return float(kolmogi(alpha)) / math.sqrt(n)
 
 

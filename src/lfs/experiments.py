@@ -24,7 +24,7 @@ from .rejection import run_rejection
 from .rng import derive_seed, substream
 from .smc import (BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule,
                   incremental_weight_joint_general, run_smc)
-from .target import joint_logdensity_unnorm, log_quotient, mh_step
+from .target import check_s_grid, joint_logdensity_unnorm, log_quotient, mh_step
 
 
 def _max_discrepancy(a, b):
@@ -163,6 +163,7 @@ def cross_sampler_table(config, seed=None):
     within 3x combined (replicate-based) standard errors, for each S."""
     seed = config.run.seed if seed is None else seed
     exp = config.experiment
+    check_s_grid("cross_s_grid", exp.cross_s_grid)
     table = {}
     all_ok = True
     for S in exp.cross_s_grid:
@@ -229,6 +230,7 @@ def experiment_mcwm_bias(config, seed=None):
     t_y = config.run.t_y
     seed = config.run.seed if seed is None else seed
     exp = config.experiment
+    check_s_grid("bias_s_grid", exp.bias_s_grid)
     oracle = model.oracle(t_y, kernel)
     proposal = ProposalSpec("random-walk", exp.bias_step_sd)
 
@@ -297,6 +299,7 @@ def experiment_s_invariance(config, seed=None):
     t_y = config.run.t_y
     seed = config.run.seed if seed is None else seed
     exp = config.experiment
+    check_s_grid("sinv_s_grid", exp.sinv_s_grid)
     n = exp.sinv_samples
     level = exp.level
 

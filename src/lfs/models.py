@@ -19,12 +19,15 @@ import functools
 import math
 
 import numpy as np
-from scipy import integrate, special, stats
 
 from .errors import CapabilityError, ConfigurationError, DomainError
 from .kernels import _LOG_SQRT_2PI
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+# scipy is imported inside the functions that call it: loading it in full
+# costs about 1 s of every command's start-up, and most commands never build
+# an oracle.  tests/test_cli.py's subprocess test keeps it out of `import lfs`.
 
 # scipy.stats.norm's own constants and arithmetic, without its per-call
 # argument checks and copies: each formula gives the bits the matching
@@ -51,7 +54,8 @@ def _norm_logpdf(x, loc=0.0, scale=1.0):
 
 def _norm_cdf(x, loc=0.0, scale=1.0):
     """``stats.norm.cdf(x, loc, scale)``, bit for bit."""
-    return special.ndtr(_norm_z(x, loc, scale))
+    from scipy.special import ndtr
+    return ndtr(_norm_z(x, loc, scale))
 
 
 class AnalyticOracle:
@@ -258,8 +262,10 @@ class BernoulliCountModel(Model):
         ts = np.arange(self.trials + 1, dtype=float)
         kvals = kernel.evaluate((t_y - ts)[:, np.newaxis])
         near = kvals != 0.0
+        # binom.pmf's bits have no scipy.special twin, so this one keeps stats
+        from scipy.stats import binom
         pmf = np.zeros((ts.size, thetas.size))
-        pmf[near] = stats.binom.pmf(ts[near, np.newaxis], self.trials, thetas[np.newaxis, :])
+        pmf[near] = binom.pmf(ts[near, np.newaxis], self.trials, thetas[np.newaxis, :])
         with np.errstate(divide="ignore"):
             return np.log(kvals @ pmf)
 
@@ -269,10 +275,11 @@ class BernoulliCountModel(Model):
                        and float(t_y).is_integer())
         if exact_match:
             a, b = t_y + 1.0, self.trials - t_y + 1.0
-            dist = stats.beta(a, b)
             return AnalyticOracle(
-                posterior_density=dist.pdf, cdf=dist.cdf,
-                moments=lambda: (dist.mean(), dist.var()),
+                posterior_density=lambda th: _beta_pdf(th, a, b),
+                cdf=lambda th: _beta_cdf(th, a, b),
+                # stats.beta(a, b).mean() and .var(), in scipy's own arithmetic
+                moments=lambda: (a / (a + b), a * b / ((a + b)**2 * (a + b + 1))),
             )
 
         def unnorm(th):
@@ -280,6 +287,18 @@ class BernoulliCountModel(Model):
             return np.exp(self.smoothed_loglik(th, t_y, kernel))
 
         return _grid_oracle(unnorm, 0.0, 1.0)
+
+
+def _beta_cdf(th, a, b):
+    """``stats.beta(a, b).cdf(th)``, bit for bit: 0 below the support, 1 above."""
+    from scipy.special import betainc
+    return betainc(a, b, np.clip(th, 0.0, 1.0))
+
+
+def _beta_pdf(th, a, b):
+    """``stats.beta.pdf(th, a, b)``; no sampler reads the density."""
+    from scipy.stats import beta
+    return beta.pdf(th, a, b)
 
 
 def _grid_oracle(unnorm, lo, hi, n_grid=50_001):
@@ -290,8 +309,10 @@ def _grid_oracle(unnorm, lo, hi, n_grid=50_001):
     on a dense grid with interpolation.  The moments are two more quadratures,
     run when first read.
     """
+    from scipy.integrate import quad as adaptive_quad
+
     def quad(f):
-        return integrate.quad(f, lo, hi, epsabs=1e-12, limit=400)[0]
+        return adaptive_quad(f, lo, hi, epsabs=1e-12, limit=400)[0]
 
     z = quad(lambda x: float(unnorm(x)[0]))
     if not z > 0:

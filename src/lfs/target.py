@@ -63,6 +63,14 @@ def check_bundle_size(S):
         raise ConfigurationError("S must be >= 1")
 
 
+def check_s_grid(name, grid):
+    """The rule on an experiment's S grid: at least one S, each a valid bundle size."""
+    if not grid:
+        raise ConfigurationError(f"{name} must hold at least one S")
+    for S in grid:
+        check_bundle_size(S)
+
+
 def simulate_checked(model, theta, S, rng, stream=None, iteration=None):
     """``model.simulate(theta, S, rng)`` for every sampler, with its output checked.
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lfs
 from helpers import NanBundleModel
 from lfs import cli
 from lfs.output import read_samples_csv
@@ -87,7 +91,10 @@ def test_validate_config_ok_and_bad(tmp_path, capsys):
                               "[model]\ntau = nan\n",
                               "[experiment]\nsinv_step_sd = nan\n",
                               "[experiment]\nbias_s_grid = 0\n",
-                              "[experiment]\ncross_s_grid = 1, 0\n"]):
+                              "[experiment]\ncross_s_grid = 1, 0\n",
+                              "[experiment]\ncross_s_grid =\n",
+                              "[experiment]\nbias_s_grid =\n",
+                              "[experiment]\nsinv_s_grid =\n"]):
         rejected = tmp_path / f"rejected{i}.cfg"
         rejected.write_text(text)
         assert run_cli(["validate-config", "--config", str(rejected)]) == cli.EXIT_CONFIG, text
@@ -198,3 +205,30 @@ def test_non_finite_hyperparameter_exits_config_error(tmp_path, capsys, command,
     assert code == cli.EXIT_CONFIG
     assert "[model]" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Loading scipy in full is most of a command's start-up, so the package and
+# the CLI import it only where a command calls it.
+_SCIPY_MODULES_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import lfs, lfs.cli
+heavy = ("scipy.stats", "scipy.integrate", "scipy.special")
+after_import = [m for m in heavy if m in sys.modules]
+code = lfs.cli.main(["reject", "--model", "bernoulli-count", "--kernel", "uniform",
+                     "--h", "0.5", "--t-y", "7", "--s", "1", "--n-accept", "200",
+                     "--seed", "3", "--out", sys.argv[2]])
+print(json.dumps([after_import, code, [m for m in heavy if m in sys.modules]]))
+"""
+
+
+def test_import_and_exact_beta_reject_leave_scipy_stats_unloaded(tmp_path):
+    src = os.path.dirname(os.path.dirname(lfs.__file__))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES_SCRIPT, src,
+                           str(tmp_path / "beta.csv")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    after_import, code, after_reject = json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == []
+    assert code == 0
+    assert "scipy.stats" not in after_reject

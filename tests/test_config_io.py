@@ -16,7 +16,7 @@ from lfs.models import make_model
 from lfs.output import embedded_config, read_samples_csv, write_json_summary, write_samples_csv
 from lfs.rejection import check_arguments as check_rejection
 from lfs.smc import check_arguments as check_smc
-from lfs.target import check_bundle_size
+from lfs.target import check_bundle_size, check_s_grid
 
 
 def test_config_round_trip_identity():
@@ -103,6 +103,8 @@ _OWNED_RULES = [
      lambda c: ProposalSpec("random-walk", c.experiment.bias_step_sd)),
     ({"experiment.sinv_s_grid": (1, 0)}, "experiment",
      lambda c: [check_bundle_size(S) for S in c.experiment.sinv_s_grid]),
+    ({"experiment.bias_s_grid": ()}, "experiment",
+     lambda c: check_s_grid("bias_s_grid", c.experiment.bias_s_grid)),
 ]
 
 

@@ -273,7 +273,7 @@ def test_grid_oracle_builds_with_one_quad_and_moments_on_read(monkeypatch):
         calls.append(args[1:3])
         return quad(*args, **kwargs)
 
-    monkeypatch.setattr(models.integrate, "quad", counting_quad)
+    monkeypatch.setattr(integrate, "quad", counting_quad)
     normal, bern = NormalMeanModel(), BernoulliCountModel(20)
     cases = [
         (normal, 0.3, SmoothingKernel("epanechnikov", 0.8), -12.0, 12.3),
@@ -398,6 +398,21 @@ def test_normal_mean_oracle_matches_the_scipy_code_bit_for_bit(kind, h, t_y):
     assert _same_bits(got.posterior_density(0.25), ref.posterior_density(0.25))
     assert (got.posterior_mean, got.posterior_variance) == (ref.posterior_mean,
                                                             ref.posterior_variance)
+
+
+@pytest.mark.parametrize("trials", [20, 5])
+def test_exact_match_beta_oracle_matches_scipy_stats_beta_bit_for_bit(trials):
+    model, kernel = BernoulliCountModel(trials), SmoothingKernel("uniform", 0.5)
+    # outside [0, 1], both endpoints and their neighbours, and non-finite inputs
+    grid = np.concatenate([np.linspace(-0.5, 1.5, 2001),
+                           [0.0, -0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0),
+                            np.nextafter(1.0, 2.0), np.inf, -np.inf]])
+    for t_y in range(trials + 1):
+        got, ref = model.oracle(float(t_y), kernel), stats.beta(t_y + 1.0, trials - t_y + 1.0)
+        assert _same_bits(got.cdf(grid), ref.cdf(grid)), t_y
+        for theta in (-0.25, 0.0, 0.3, 1.0, 1.25):
+            assert _same_bits(got.cdf(theta), ref.cdf(theta)), (t_y, theta)
+        assert (got.posterior_mean, got.posterior_variance) == (ref.mean(), ref.var()), t_y
 
 
 def test_epanechnikov_oracle_build_is_small_and_calls_no_scipy_norm(monkeypatch):
