@@ -6,7 +6,6 @@ import sys
 import numpy as np
 import pytest
 
-import lfs
 from helpers import NanBundleModel
 from lfs import cli
 from lfs.output import read_samples_csv
@@ -223,7 +222,7 @@ print(json.dumps([after_import, code, [m for m in heavy if m in sys.modules]]))
 
 
 def test_import_and_exact_beta_reject_leave_scipy_stats_unloaded(tmp_path):
-    src = os.path.dirname(os.path.dirname(lfs.__file__))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES_SCRIPT, src,
                            str(tmp_path / "beta.csv")],
                           capture_output=True, text=True, timeout=120)
