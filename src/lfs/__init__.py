@@ -7,26 +7,20 @@ from .errors import (BudgetExhaustedError, CapabilityError, ConfigurationError,
 from .kernels import SmoothingKernel, SummaryDistance
 from .models import (AnalyticOracle, BernoulliCountModel, Model, NormalMeanModel,
                      make_model)
-from .target import (AugmentedState, joint_logdensity_unnorm, marginal_logestimate,
-                     mh_step, simulate_checked)
+from .target import simulate_checked
 from .rejection import RejectionOutput, run_rejection
 from .mcmc import CARRIED_BUNDLE, FRESH_DENOMINATOR, McmcOutput, ProposalSpec, run_mcmc
-from .smc import (BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule, ParticleSystem,
-                  SmcOutput, ess, incremental_weight_backward,
-                  incremental_weight_joint_general, run_smc)
+from .smc import BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule, SmcOutput, run_smc
 from .diagnostics import ks_statistic, weighted_moments
 from .config import RunConfig
 from .rng import substream
 
 __all__ = [
-    "AnalyticOracle", "AugmentedState", "BACKWARD_KERNEL", "BandwidthSchedule",
-    "BernoulliCountModel", "BudgetExhaustedError", "CapabilityError", "CARRIED_BUNDLE",
-    "ConfigurationError", "DomainError", "FRESH_DENOMINATOR", "JOINT_MCMC_MOVE",
-    "McmcOutput", "Model", "NormalMeanModel", "ParticleCollapseError", "ParticleSystem",
-    "ProposalSpec", "RejectionOutput", "RunConfig", "SmcOutput",
-    "SmoothingKernel", "SummaryDistance", "ess", "incremental_weight_backward",
-    "incremental_weight_joint_general",
-    "joint_logdensity_unnorm", "ks_statistic", "make_model", "marginal_logestimate",
-    "mh_step", "run_mcmc", "run_rejection", "run_smc", "simulate_checked", "substream",
-    "weighted_moments",
+    "AnalyticOracle", "BACKWARD_KERNEL", "BandwidthSchedule", "BernoulliCountModel",
+    "BudgetExhaustedError", "CapabilityError", "CARRIED_BUNDLE", "ConfigurationError",
+    "DomainError", "FRESH_DENOMINATOR", "JOINT_MCMC_MOVE", "McmcOutput", "Model",
+    "NormalMeanModel", "ParticleCollapseError", "ProposalSpec", "RejectionOutput",
+    "RunConfig", "SmcOutput", "SmoothingKernel", "SummaryDistance", "ks_statistic",
+    "make_model", "run_mcmc", "run_rejection", "run_smc", "simulate_checked",
+    "substream", "weighted_moments",
 ]

@@ -15,8 +15,9 @@ known target.
   other kernels get a summation-based oracle.
 """
 
-import functools
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -40,12 +41,6 @@ def _norm_z(x, loc, scale):
     return (np.asarray(x, dtype=float) - loc) / scale
 
 
-def _norm_pdf(x, loc=0.0, scale=1.0):
-    """``stats.norm.pdf(x, loc, scale)``, bit for bit."""
-    z = _norm_z(x, loc, scale)
-    return np.exp(-z**2 / 2.0) / _NORM_C / scale
-
-
 def _norm_logpdf(x, loc=0.0, scale=1.0):
     """``stats.norm.logpdf(x, loc, scale)``, bit for bit."""
     z = _norm_z(x, loc, scale)
@@ -58,32 +53,15 @@ def _norm_cdf(x, loc=0.0, scale=1.0):
     return ndtr(_norm_z(x, loc, scale))
 
 
+@dataclass(frozen=True)
 class AnalyticOracle:
     """Exact (closed-form or quadrature-grade) smoothed marginal posterior.
 
-    Callables are vectorized over theta.  ``posterior_density`` integrates to
-    one; ``cdf`` is non-decreasing from 0 to 1.  ``moments()`` returns
-    (mean, variance) and runs only when ``posterior_mean`` or
-    ``posterior_variance`` is first read.
+    ``cdf`` is vectorized over theta and non-decreasing from 0 to 1.  A model's
+    ``oracle`` returns one or raises ``CapabilityError``.
     """
 
-    def __init__(self, posterior_density, cdf, moments):
-        self.posterior_density = posterior_density
-        self.cdf = cdf
-        self._moments_fn = moments
-
-    @functools.cached_property
-    def _moments(self):
-        mean, var = self._moments_fn()
-        return float(mean), float(var)
-
-    @property
-    def posterior_mean(self):
-        return self._moments[0]
-
-    @property
-    def posterior_variance(self):
-        return self._moments[1]
+    cdf: Callable
 
 
 class Model:
@@ -118,6 +96,7 @@ class Model:
         raise NotImplementedError
 
     def oracle(self, t_y, kernel):
+        """The smoothed posterior's ``AnalyticOracle``; ``CapabilityError`` if there is none."""
         raise CapabilityError(f"model {self.name!r} has no analytic oracle")
 
 
@@ -184,7 +163,7 @@ class NormalMeanModel(Model):
         # epanechnikov: integrate K_h(u) phi(t_y - u; theta, tau) over u in [-h, h]
         u = h * _GL_NODES
         kern = 0.75 / h * (1.0 - (u / h) ** 2)
-        # kern * _norm_pdf(t_y - u, thetas, tau), step for step in one buffer
+        # kern * stats.norm.pdf(t_y - u, thetas, tau), step for step in one buffer
         vals = np.subtract((t_y - u)[:, np.newaxis], thetas)
         vals /= tau
         np.square(vals, out=vals)
@@ -207,11 +186,7 @@ class NormalMeanModel(Model):
             post_var = 1.0 / prec
             post_mean = post_var * (self.prior_mean / self._prior_sd**2 + t_y / lik_var)
             post_sd = math.sqrt(post_var)
-            return AnalyticOracle(
-                posterior_density=lambda th: _norm_pdf(th, post_mean, post_sd),
-                cdf=lambda th: _norm_cdf(th, post_mean, post_sd),
-                moments=lambda: (post_mean, post_var),
-            )
+            return AnalyticOracle(lambda th: _norm_cdf(th, post_mean, post_sd))
         lo = min(self.prior_mean, t_y) - 12.0 * self._prior_sd
         hi = max(self.prior_mean, t_y) + 12.0 * self._prior_sd
 
@@ -275,12 +250,7 @@ class BernoulliCountModel(Model):
                        and float(t_y).is_integer())
         if exact_match:
             a, b = t_y + 1.0, self.trials - t_y + 1.0
-            return AnalyticOracle(
-                posterior_density=lambda th: _beta_pdf(th, a, b),
-                cdf=lambda th: _beta_cdf(th, a, b),
-                # stats.beta(a, b).mean() and .var(), in scipy's own arithmetic
-                moments=lambda: (a / (a + b), a * b / ((a + b)**2 * (a + b + 1))),
-            )
+            return AnalyticOracle(lambda th: _beta_cdf(th, a, b))
 
         def unnorm(th):
             th = np.atleast_1d(np.asarray(th, dtype=float))
@@ -295,47 +265,27 @@ def _beta_cdf(th, a, b):
     return betainc(a, b, np.clip(th, 0.0, 1.0))
 
 
-def _beta_pdf(th, a, b):
-    """``stats.beta.pdf(th, a, b)``; no sampler reads the density."""
-    from scipy.stats import beta
-    return beta.pdf(th, a, b)
-
-
 def _grid_oracle(unnorm, lo, hi, n_grid=50_001):
     """Quadrature-grade oracle from an unnormalized density on [lo, hi].
 
-    The normalizer uses adaptive quadrature (abs tol 1e-9 target, well below
-    any Monte Carlo error in the test suite); the cdf is cumulative trapezoid
-    on a dense grid with interpolation.  The moments are two more quadratures,
-    run when first read.
+    The normalizer is one adaptive quadrature (abs tol 1e-12, well below any
+    Monte Carlo error in the test suite); the cdf is cumulative trapezoid of
+    the normalized density on a dense grid, with interpolation.
     """
-    from scipy.integrate import quad as adaptive_quad
+    from scipy.integrate import quad
 
-    def quad(f):
-        return adaptive_quad(f, lo, hi, epsabs=1e-12, limit=400)[0]
-
-    z = quad(lambda x: float(unnorm(x)[0]))
+    z = quad(lambda x: float(unnorm(x)[0]), lo, hi, epsabs=1e-12, limit=400)[0]
     if not z > 0:
         raise CapabilityError("oracle normalization failed: zero mass on the support")
-
-    def moments():
-        mean = quad(lambda x: x * float(unnorm(x)[0])) / z
-        return mean, quad(lambda x: x * x * float(unnorm(x)[0])) / z - mean * mean
-
     grid = np.linspace(lo, hi, n_grid)
     dens = unnorm(grid) / z
     cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
     cum = np.clip(cum / cum[-1], 0.0, 1.0)
 
-    def density(th):
-        th = np.asarray(th, dtype=float)
-        return np.asarray(unnorm(np.atleast_1d(th)) / z).reshape(th.shape)
-
     def cdf(th):
-        th = np.asarray(th, dtype=float)
-        return np.interp(th, grid, cum, left=0.0, right=1.0)
+        return np.interp(np.asarray(th, dtype=float), grid, cum, left=0.0, right=1.0)
 
-    return AnalyticOracle(density, cdf, moments)
+    return AnalyticOracle(cdf)
 
 
 MODEL_NAMES = ("normal-mean", "bernoulli-count")

@@ -5,11 +5,11 @@ augmented density over (theta, bundle) with the simulator factor deliberately
 omitted: every implemented algorithm proposes bundles from the simulator
 itself, so the intractable product of data densities cancels between target
 and proposal, and what survives in every acceptance ratio and importance
-weight is exactly ``log(pooled kernel) + log(prior)``.  The marginal reading
-is the Monte Carlo estimate of the smoothed marginal posterior built from a
-fresh bundle — the same expression evaluated on a bundle the caller did not
-choose.  Having one implementation for both is what makes the joint-target
-and marginal-target bookkeepings of the samplers bit-identical.
+weight is exactly ``log(pooled kernel) + log(prior)``.  The marginal reading,
+the unbiased Monte Carlo estimate of the unnormalized smoothed marginal, is
+the same ``joint_logdensity_unnorm`` evaluated on a fresh bundle from
+``simulate_checked``.  Having one implementation for both is what makes the
+joint-target and marginal-target bookkeepings of the samplers bit-identical.
 
 All density work is in log space with -inf for exact zeros: compactly
 supported kernels produce genuine zeros, and products of many densities
@@ -128,19 +128,3 @@ def mh_step(log_num_prop, log_num_curr, log_q_ratio, u):
     log_ratio = log_quotient(log_num_prop, log_num_curr) + log_q_ratio
     # u < 1, so a ratio at or above 1 always accepts; the clip keeps exp finite
     return log_ratio, u < np.exp(np.minimum(log_ratio, 0.0))
-
-
-def marginal_logestimate(theta, S, t_y, kernel, model, rng):
-    """Unbiased Monte Carlo estimate of the unnormalized smoothed marginal.
-
-    Simulates a fresh bundle of S summaries at theta and returns
-    ``(log estimate, bundle)``; the bundle is returned so samplers can keep it
-    as state.  The estimate is unbiased for every S >= 1; its variance falls
-    as S grows.  Vectorized: theta (..., p) gives estimates (...) and bundles
-    (..., S, d), and any row outside the prior's support raises ``DomainError``.
-    """
-    outside = np.count_nonzero(model.prior_logdensity(theta) == -np.inf)
-    if outside:
-        raise DomainError(f"{outside} theta row(s) outside the prior's support")
-    bundle = simulate_checked(model, theta, S, rng)
-    return joint_logdensity_unnorm(theta, bundle, t_y, kernel, model), bundle

@@ -24,7 +24,7 @@ from lfs.rejection import run_rejection
 from lfs.rng import substream
 from lfs.smc import (BACKWARD_KERNEL, BandwidthSchedule,
                      incremental_weight_backward, run_smc)
-from lfs.target import marginal_logestimate
+from lfs.target import joint_logdensity_unnorm, simulate_checked
 
 SEED = 20260810
 
@@ -111,7 +111,9 @@ def test_ac5_unbiasedness_of_marginal_estimate():
         total = 0.0
         n = 100_000
         # one batched call draws the n replicates a loop of n one-row calls drew
-        lv, _ = marginal_logestimate(np.full((n, 1), theta), 1, 0.0, kernel, model, rng)
+        thetas = np.full((n, 1), theta)
+        bundles = simulate_checked(model, thetas, 1, rng)
+        lv = joint_logdensity_unnorm(thetas, bundles, 0.0, kernel, model)
         for v in lv.tolist():
             total += math.exp(v)
         exact = (math.exp(model.prior_logdensity([theta]))

@@ -207,27 +207,31 @@ def test_non_finite_hyperparameter_exits_config_error(tmp_path, capsys, command,
 
 
 # Loading scipy in full is most of a command's start-up, so the package and
-# the CLI import it only where a command calls it.
+# the CLI import it only where a command calls it.  The second reject builds
+# the normal-mean grid oracle (epanechnikov kernel), which needs no scipy.stats.
 _SCIPY_MODULES_SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import lfs, lfs.cli
 heavy = ("scipy.stats", "scipy.integrate", "scipy.special")
-after_import = [m for m in heavy if m in sys.modules]
-code = lfs.cli.main(["reject", "--model", "bernoulli-count", "--kernel", "uniform",
-                     "--h", "0.5", "--t-y", "7", "--s", "1", "--n-accept", "200",
-                     "--seed", "3", "--out", sys.argv[2]])
-print(json.dumps([after_import, code, [m for m in heavy if m in sys.modules]]))
+loaded = [[m for m in heavy if m in sys.modules]]
+for model, kernel, h, t_y, out in (("bernoulli-count", "uniform", "0.5", "7", sys.argv[2]),
+                                   ("normal-mean", "epanechnikov", "1.0", "0.5", sys.argv[3])):
+    code = lfs.cli.main(["reject", "--model", model, "--kernel", kernel, "--h", h, "--t-y", t_y,
+                         "--s", "1", "--n-accept", "200", "--seed", "3", "--out", out])
+    loaded.append([code, [m for m in heavy if m in sys.modules]])
+print(json.dumps(loaded))
 """
 
 
 def test_import_and_exact_beta_reject_leave_scipy_stats_unloaded(tmp_path):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES_SCRIPT, src,
-                           str(tmp_path / "beta.csv")],
+                           str(tmp_path / "beta.csv"), str(tmp_path / "grid.csv")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    after_import, code, after_reject = json.loads(proc.stdout.splitlines()[-1])
+    after_import, beta_reject, grid_reject = json.loads(proc.stdout.splitlines()[-1])
     assert after_import == []
-    assert code == 0
-    assert "scipy.stats" not in after_reject
+    assert beta_reject[0] == 0 and "scipy.stats" not in beta_reject[1]
+    assert grid_reject[0] == 0 and "scipy.stats" not in grid_reject[1]
+    assert "scipy.integrate" in grid_reject[1]  # the grid oracle was built

@@ -164,20 +164,24 @@ def test_bundle_independence_lag1(normal_mean):
 # -- oracles ---------------------------------------------------------------
 
 
-def test_conjugate_oracle_density_value(normal_mean):
+def test_conjugate_oracle_cdf_value(normal_mean):
     kernel = SmoothingKernel("gaussian", 1.0)
     # smoothing inflates the likelihood variance to tau^2 + h^2 = 2,
     # so the posterior is Normal(0, 2/3)
     oracle = normal_mean.oracle(0.0, kernel)
-    val = oracle.posterior_density(0.0)
-    assert val == pytest.approx(0.48860251190292, abs=1e-10)
-    assert oracle.posterior_variance == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert oracle.posterior_mean == pytest.approx(0.0, abs=1e-12)
+    assert oracle.cdf(1.0) == pytest.approx(0.8896643190400766, abs=1e-10)
+    assert oracle.cdf(0.0) == pytest.approx(0.5, abs=1e-12)
+    grid = np.linspace(-4.0, 4.0, 81)
+    assert np.allclose(oracle.cdf(grid), stats.norm.cdf(grid, 0.0, math.sqrt(2.0 / 3.0)),
+                       rtol=0.0, atol=1e-12)
 
 
 def test_large_bandwidth_recovers_prior(normal_mean):
     oracle = normal_mean.oracle(0.0, SmoothingKernel("gaussian", 100.0))
-    assert oracle.posterior_variance == pytest.approx(1.0, rel=1e-3)
+    # a centred normal whose variance is within 0.1% of the prior's differs
+    # from the prior's cdf by at most max(x phi(x)) * 0.0005 = phi(1) * 0.0005
+    grid = np.linspace(-5.0, 5.0, 201)
+    assert np.allclose(oracle.cdf(grid), stats.norm.cdf(grid), rtol=0.0, atol=1.21e-4)
 
 
 def test_conjugate_oracle_matches_quadrature(normal_mean):
@@ -192,15 +196,26 @@ def test_conjugate_oracle_matches_quadrature(normal_mean):
         return stats.norm.pdf(th, 0, 1) * inner
 
     z, _ = integrate.quad(unnorm, -10, 10, limit=200)
+    mass, lo = 0.0, -10.0
     for th in (-0.5, 0.0, 0.8):
-        assert oracle.posterior_density(th) == pytest.approx(unnorm(th) / z, rel=1e-7)
+        mass += integrate.quad(unnorm, lo, th, limit=200)[0]
+        lo = th
+        assert oracle.cdf(th) == pytest.approx(mass / z, rel=1e-7)
 
 
 def test_oracle_normalization_and_cdf(normal_mean):
     for kind, h in (("gaussian", 1.0), ("uniform", 0.8), ("epanechnikov", 1.2)):
-        oracle = normal_mean.oracle(0.0, SmoothingKernel(kind, h))
-        z, _ = integrate.quad(oracle.posterior_density, -10, 10, limit=300)
-        assert z == pytest.approx(1.0, abs=1e-6)
+        kernel = SmoothingKernel(kind, h)
+        oracle = normal_mean.oracle(0.0, kernel)
+
+        def unnorm(th, kernel=kernel):
+            loglik = normal_mean.smoothed_loglik(np.array([th]), 0.0, kernel)[0]
+            return stats.norm.pdf(th, 0.0, 1.0) * math.exp(loglik)
+
+        z, _ = integrate.quad(unnorm, -10, 10, limit=300)
+        for th in (-1.0, 0.0, 0.5, 2.0):
+            mass, _ = integrate.quad(unnorm, -10, th, limit=300)
+            assert oracle.cdf(th) == pytest.approx(mass / z, abs=1e-6), (kind, th)
         grid = np.linspace(-8, 8, 200)
         cdf = oracle.cdf(grid)
         assert np.all(np.diff(cdf) >= -1e-12)
@@ -213,7 +228,10 @@ def test_bernoulli_exact_match_oracle_is_beta(bernoulli):
     oracle = bernoulli.oracle(6.0, kernel)
     ref = stats.beta(7, 15)
     grid = np.linspace(0.01, 0.99, 25)
-    assert np.allclose(oracle.posterior_density(grid), ref.pdf(grid), rtol=1e-12)
+    # flat prior: the posterior density is the smoothed likelihood, which for
+    # the exact match is the binomial pmf, and Beta(7, 15)'s pdf is 21 times it
+    lik = np.exp(bernoulli.smoothed_loglik(grid, 6.0, kernel))
+    assert np.allclose(21.0 * lik, ref.pdf(grid), rtol=1e-12)
     assert np.allclose(oracle.cdf(grid), ref.cdf(grid), rtol=1e-12)
 
 
@@ -229,7 +247,10 @@ def test_bernoulli_summation_oracle_cross_check(bernoulli):
 
     z, _ = integrate.quad(unnorm, 0, 1)
     for th in (0.15, 0.3, 0.6):
-        assert oracle.posterior_density(th) == pytest.approx(unnorm(th) / z, rel=1e-7)
+        lik = math.exp(bernoulli.smoothed_loglik(np.array([th]), 6.0, kernel)[0])
+        assert lik == pytest.approx(unnorm(th), rel=1e-7)
+        mass, _ = integrate.quad(unnorm, 0, th)
+        assert oracle.cdf(th) == pytest.approx(mass / z, rel=1e-7)
 
 
 def test_simulator_oracle_consistency(normal_mean):
@@ -253,19 +274,7 @@ def test_oracle_capability_error():
         Plain().oracle(0.0, SmoothingKernel("gaussian", 1.0))
 
 
-def _eager_grid_moments(unnorm, lo, hi):
-    """(mean, variance) computed as the grid oracle once did when built: three quads."""
-    def quad(f):
-        return integrate.quad(f, lo, hi, epsabs=1e-12, limit=400)[0]
-
-    z = quad(lambda x: float(unnorm(x)[0]))
-    m1 = quad(lambda x: x * float(unnorm(x)[0]))
-    m2 = quad(lambda x: x * x * float(unnorm(x)[0]))
-    mean = m1 / z
-    return mean, m2 / z - mean * mean
-
-
-def test_grid_oracle_builds_with_one_quad_and_moments_on_read(monkeypatch):
+def test_grid_oracle_builds_with_one_quad(monkeypatch):
     calls = []
     quad = integrate.quad
 
@@ -282,26 +291,14 @@ def test_grid_oracle_builds_with_one_quad_and_moments_on_read(monkeypatch):
     for model, t_y, kernel, lo, hi in cases:
         calls.clear()
         oracle = model.oracle(t_y, kernel)
-        assert len(calls) == 1  # the normalizer only
-        mean, var = oracle.posterior_mean, oracle.posterior_variance
-        assert len(calls) == 3
-        assert oracle.posterior_mean == mean and len(calls) == 3  # read once
-
-        def unnorm(th, model=model, t_y=t_y, kernel=kernel):
-            th = np.atleast_1d(np.asarray(th, dtype=float))
-            loglik = model.smoothed_loglik(th, t_y, kernel)
-            if isinstance(model, NormalMeanModel):
-                loglik = loglik + stats.norm.logpdf(th, 0.0, 1.0)
-            return np.exp(loglik)
-
-        ref_mean, ref_var = _eager_grid_moments(unnorm, lo, hi)
-        assert (mean, var) == (ref_mean, ref_var)  # bit for bit
+        assert calls == [(lo, hi)]  # the normalizer only
+        oracle.cdf(np.linspace(lo, hi, 101))
+        assert len(calls) == 1
 
 
 # -- scipy-free normal formulas: the bits of stats.norm ----------------------
 
-_NORM_FORMULAS = (("pdf", models._norm_pdf), ("logpdf", models._norm_logpdf),
-                  ("cdf", models._norm_cdf))
+_NORM_FORMULAS = (("logpdf", models._norm_logpdf), ("cdf", models._norm_cdf))
 
 
 def _same_bits(a, b):
@@ -362,9 +359,7 @@ def _scipy_oracle(model, t_y, kernel):
         post_var = 1.0 / prec
         post_mean = post_var * (model.prior_mean / model._prior_sd**2 + t_y / lik_var)
         post_sd = math.sqrt(post_var)
-        return models.AnalyticOracle(lambda th: stats.norm.pdf(th, post_mean, post_sd),
-                                     lambda th: stats.norm.cdf(th, post_mean, post_sd),
-                                     lambda: (post_mean, post_var))
+        return models.AnalyticOracle(lambda th: stats.norm.cdf(th, post_mean, post_sd))
 
     def unnorm(th):
         th = np.atleast_1d(np.asarray(th, dtype=float))
@@ -394,10 +389,7 @@ def test_normal_mean_oracle_matches_the_scipy_code_bit_for_bit(kind, h, t_y):
     got, ref = model.oracle(t_y, kernel), _scipy_oracle(model, t_y, kernel)
     grid = np.linspace(-8.0, 10.0, 2001)
     assert _same_bits(got.cdf(grid), ref.cdf(grid))
-    assert _same_bits(got.posterior_density(grid), ref.posterior_density(grid))
-    assert _same_bits(got.posterior_density(0.25), ref.posterior_density(0.25))
-    assert (got.posterior_mean, got.posterior_variance) == (ref.posterior_mean,
-                                                            ref.posterior_variance)
+    assert _same_bits(got.cdf(0.25), ref.cdf(0.25))
 
 
 @pytest.mark.parametrize("trials", [20, 5])
@@ -412,7 +404,6 @@ def test_exact_match_beta_oracle_matches_scipy_stats_beta_bit_for_bit(trials):
         assert _same_bits(got.cdf(grid), ref.cdf(grid)), t_y
         for theta in (-0.25, 0.0, 0.3, 1.0, 1.25):
             assert _same_bits(got.cdf(theta), ref.cdf(theta)), (t_y, theta)
-        assert (got.posterior_mean, got.posterior_variance) == (ref.mean(), ref.var()), t_y
 
 
 def test_epanechnikov_oracle_build_is_small_and_calls_no_scipy_norm(monkeypatch):
@@ -472,6 +463,7 @@ def test_make_model_registry():
 
 def test_public_names_resolve_and_test_only_names_are_gone():
     import lfs
+    import lfs.output  # not loaded by `import lfs`; the test must not rely on another's import
 
     for name in lfs.__all__:
         assert getattr(lfs, name) is not None, name
@@ -485,7 +477,20 @@ def test_public_names_resolve_and_test_only_names_are_gone():
             (lfs.ProposalSpec, "resolved"), (lfs.SmoothingKernel, "log_evaluate"),
             (lfs.Model, "hyperparameters"), (lfs.NormalMeanModel, "hyperparameters"),
             (lfs.BernoulliCountModel, "hyperparameters"), (lfs.diagnostics, "ks_2sample"),
-            (lfs.output, "format_float")]
+            (lfs.output, "format_float"), (lfs.models, "_norm_pdf"), (lfs.models, "_beta_pdf"),
+            (lfs.target, "marginal_logestimate")]
+    # an oracle is only its cdf
+    oracle = lfs.NormalMeanModel().oracle(0.0, lfs.SmoothingKernel("gaussian", 1.0))
+    gone += [(oracle, name) for name in ("posterior_density", "posterior_mean",
+                                         "posterior_variance")]
     assert "incremental_weight_joint" not in lfs.__all__
+    # used inside the library and by its tests only: importable from their own module
+    internal = {lfs.target: ("AugmentedState", "joint_logdensity_unnorm", "mh_step"),
+                lfs.smc: ("ParticleSystem", "ess", "incremental_weight_backward",
+                          "incremental_weight_joint_general")}
+    for module, names in internal.items():
+        for name in names:
+            assert hasattr(module, name) and name not in lfs.__all__, name
+            gone.append((lfs, name))
     for owner, name in gone:
         assert not hasattr(owner, name), (owner, name)

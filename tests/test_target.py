@@ -8,8 +8,7 @@ from lfs.errors import DomainError
 from lfs.kernels import SmoothingKernel
 from lfs.models import BernoulliCountModel, NormalMeanModel
 from lfs.rng import substream
-from lfs.target import (AugmentedState, joint_logdensity_unnorm,
-                        marginal_logestimate, simulate_checked)
+from lfs.target import AugmentedState, joint_logdensity_unnorm, simulate_checked
 
 
 @pytest.fixture
@@ -44,35 +43,39 @@ def test_joint_logdensity_peak_composition(model):
 
 
 def test_marginal_estimate_consistency_exact(model):
+    # the estimate is the joint density on the simulator's own bundle, bit for bit
     kernel = SmoothingKernel("gaussian", 1.0)
-    rng = substream(5, "t")
+    rng, replay = substream(5, "t"), substream(5, "t")
     for theta in (-0.7, 0.0, 1.3):
-        val, bundle = marginal_logestimate(np.array([theta]), 4, 0.0, kernel, model, rng)
-        recomputed = joint_logdensity_unnorm(np.array([theta]), bundle, 0.0, kernel, model)
-        assert val == recomputed  # bitwise
+        bundle = simulate_checked(model, np.array([theta]), 4, rng)
+        val = joint_logdensity_unnorm(np.array([theta]), bundle, 0.0, kernel, model)
+        direct = model.simulate(np.array([theta]), 4, replay)
+        assert bundle.tobytes() == direct.tobytes()
+        assert val == (kernel.log_pooled(0.0, direct)
+                       + model.prior_logdensity(np.array([theta])))  # bitwise
 
 
 def test_augmented_state_carries_cached_value(model):
     kernel = SmoothingKernel("gaussian", 1.0)
-    val, bundle = marginal_logestimate(np.array([0.2]), 3, 0.0, kernel, model,
-                                       substream(4, "t"))
+    bundle = simulate_checked(model, np.array([0.2]), 3, substream(4, "t"))
+    val = joint_logdensity_unnorm(np.array([0.2]), bundle, 0.0, kernel, model)
     state = AugmentedState(np.array([0.2]), bundle, val)
     assert state.log_num == joint_logdensity_unnorm(state.theta, state.bundle,
                                                     0.0, kernel, model)
 
 
 def test_marginal_estimate_domain_error():
+    # a theta outside the prior's support cannot draw the fresh bundle
     model = BernoulliCountModel()
-    kernel = SmoothingKernel("uniform", 0.5)
     for theta in (np.array([1.4]), np.array([[0.2], [1.4], [0.5]])):
         with pytest.raises(DomainError):
-            marginal_logestimate(theta, 1, 6.0, kernel, model, substream(1, "t"))
+            simulate_checked(model, theta, 1, substream(1, "t"))
 
 
 def test_marginal_estimate_all_miss_is_neginf(model):
     kernel = SmoothingKernel("uniform", 0.05)
-    val, _ = marginal_logestimate(np.array([8.0]), 2, 0.0, kernel, model,
-                                  substream(2, "t"))
+    bundle = simulate_checked(model, np.array([8.0]), 2, substream(2, "t"))
+    val = joint_logdensity_unnorm(np.array([8.0]), bundle, 0.0, kernel, model)
     assert val == -np.inf
 
 
@@ -83,8 +86,9 @@ def test_unbiasedness_of_marginal_estimate(model):
     rng = substream(6, "t")
     for theta in (0.0, 0.5, 1.0):
         # one batched call draws the replicates a loop of one-row calls drew
-        lv, _ = marginal_logestimate(np.full((100_000, 1), theta), 1, 0.0, kernel, model,
-                                     rng)
+        thetas = np.full((100_000, 1), theta)
+        bundles = simulate_checked(model, thetas, 1, rng)
+        lv = joint_logdensity_unnorm(thetas, bundles, 0.0, kernel, model)
         vals = np.array([math.exp(v) for v in lv.tolist()])
         exact = (math.exp(model.prior_logdensity([theta]))
                  * math.exp(float(model.smoothed_loglik(np.array([theta]), 0.0, kernel)[0])))
@@ -97,7 +101,9 @@ def test_variance_halves_when_s_doubles(model):
     variances = {}
     for S in (4, 8):
         rng = substream(7, "t", S)
-        lv, _ = marginal_logestimate(np.tile(theta, (10_000, 1)), S, 0.0, kernel, model, rng)
+        thetas = np.tile(theta, (10_000, 1))
+        bundles = simulate_checked(model, thetas, S, rng)
+        lv = joint_logdensity_unnorm(thetas, bundles, 0.0, kernel, model)
         vals = np.array([math.exp(v) for v in lv.tolist()])
         variances[S] = vals.var()
     assert variances[8] == pytest.approx(variances[4] / 2.0, rel=0.10)
@@ -109,7 +115,9 @@ def test_variance_monotone_in_s(model):
     prev = np.inf
     for S in (1, 2, 4, 8, 16):
         rng = substream(8, "t", S)
-        lv, _ = marginal_logestimate(np.tile(theta, (10_000, 1)), S, 0.0, kernel, model, rng)
+        thetas = np.tile(theta, (10_000, 1))
+        bundles = simulate_checked(model, thetas, S, rng)
+        lv = joint_logdensity_unnorm(thetas, bundles, 0.0, kernel, model)
         vals = np.array([math.exp(v) for v in lv.tolist()])
         assert vals.var() < prev
         prev = vals.var()
