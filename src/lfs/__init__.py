@@ -9,7 +9,8 @@ from .models import (AnalyticOracle, BernoulliCountModel, Model, NormalMeanModel
                      make_model)
 from .target import simulate_checked
 from .rejection import RejectionOutput, run_rejection
-from .mcmc import CARRIED_BUNDLE, FRESH_DENOMINATOR, McmcOutput, ProposalSpec, run_mcmc
+from .mcmc import (CARRIED_BUNDLE, FRESH_DENOMINATOR, McmcOutput, ProposalSpec, run_chains,
+                   run_mcmc)
 from .smc import BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule, SmcOutput, run_smc
 from .diagnostics import ks_statistic, weighted_moments
 from .config import RunConfig
@@ -21,6 +22,6 @@ __all__ = [
     "DomainError", "FRESH_DENOMINATOR", "JOINT_MCMC_MOVE", "McmcOutput", "Model",
     "NormalMeanModel", "ParticleCollapseError", "ProposalSpec", "RejectionOutput",
     "RunConfig", "SmcOutput", "SmoothingKernel", "SummaryDistance", "ks_statistic",
-    "make_model", "run_mcmc", "run_rejection", "run_smc", "simulate_checked",
+    "make_model", "run_chains", "run_mcmc", "run_rejection", "run_smc", "simulate_checked",
     "substream", "weighted_moments",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .diagnostics import (bootstrap_mean_diff_ci, ks_2sample_permutation,
                           ks_statistic, weighted_moments)
-from .mcmc import CARRIED_BUNDLE, FRESH_DENOMINATOR, ProposalSpec, run_mcmc
+from .mcmc import CARRIED_BUNDLE, FRESH_DENOMINATOR, ProposalSpec, run_chains, run_mcmc
 from .rejection import run_rejection
 from .rng import derive_seed, substream
 from .smc import (BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule,
@@ -129,30 +129,34 @@ def dual_bookkeeping_smc(config, seed=None):
     }
 
 
-def _sampler_moments(config, sampler, S, seed):
-    """One replicate of one sampler; returns (mean, variance) of the output."""
+def _sampler_moments(config, sampler, S, seeds):
+    """One replicate of one sampler per seed; returns each one's (mean, variance).
+
+    The carried-MCMC replicates run as one chain batch, replicate r on chain
+    (seeds[r], 0).
+    """
     model = config.build_model()
     kernel = config.build_kernel()
     t_y = config.run.t_y
     exp = config.experiment
     if sampler == "rejection":
-        out = run_rejection(model, kernel, t_y, S, exp.cross_samples, seed,
-                            budget=config.rejection.budget)
-        mean, var = weighted_moments(out.thetas)
+        moments = [weighted_moments(run_rejection(model, kernel, t_y, S, exp.cross_samples, seed,
+                                                  budget=config.rejection.budget).thetas)
+                   for seed in seeds]
     elif sampler == "mcmc-carried":
         n_iter = exp.cross_mcmc_iters
-        out = run_mcmc(model, kernel, t_y, S, CARRIED_BUNDLE, config.build_proposal(),
-                       n_iter, n_iter // 10, seed)
-        mean, var = weighted_moments(out.thetas)
+        outs = run_chains(model, kernel, t_y, S, CARRIED_BUNDLE, config.build_proposal(),
+                          n_iter, n_iter // 10, [(seed, 0) for seed in seeds])
+        moments = [weighted_moments(out.thetas) for out in outs]
     else:
         variant = JOINT_MCMC_MOVE if sampler == "smc-joint" else BACKWARD_KERNEL
         schedule = BandwidthSchedule.geometric(4.0 * config.kernel.h, config.kernel.h,
                                                exp.cross_smc_steps)
-        out = run_smc(model, kernel, schedule, S, exp.cross_smc_particles, variant,
-                      config.build_mutation(), seed, t_y,
-                      ess_threshold=config.smc.ess_threshold)
-        mean, var = weighted_moments(out.thetas, out.weights)
-    return float(mean[0]), float(var[0])
+        outs = [run_smc(model, kernel, schedule, S, exp.cross_smc_particles, variant,
+                        config.build_mutation(), seed, t_y,
+                        ess_threshold=config.smc.ess_threshold) for seed in seeds]
+        moments = [weighted_moments(out.thetas, out.weights) for out in outs]
+    return [(float(mean[0]), float(var[0])) for mean, var in moments]
 
 
 CROSS_SAMPLERS = ("rejection", "mcmc-carried", "smc-joint", "smc-backward")
@@ -169,9 +173,9 @@ def cross_sampler_table(config, seed=None):
     for S in exp.cross_s_grid:
         cell = {}
         for sampler in CROSS_SAMPLERS:
-            stats = [_sampler_moments(config, sampler, S,
-                                      derive_seed(seed, "cross", sampler, S, r))
-                     for r in range(exp.cross_replicates)]
+            stats = _sampler_moments(config, sampler, S,
+                                     [derive_seed(seed, "cross", sampler, S, r)
+                                      for r in range(exp.cross_replicates)])
             means = np.array([s[0] for s in stats])
             variances = np.array([s[1] for s in stats])
             cell[sampler] = {
@@ -240,13 +244,11 @@ def experiment_mcwm_bias(config, seed=None):
     for variant in (FRESH_DENOMINATOR, CARRIED_BUNDLE):
         per_s = {}
         for S in exp.bias_s_grid:
-            distances = []
-            for chain in range(exp.bias_chains):
-                out = run_mcmc(model, kernel, t_y, S, variant, proposal, n_iter, burn,
-                               derive_seed(seed, "bias", variant, S, chain),
-                               thin=exp.bias_thin, chain_id=chain)
-                distances.append(ks_statistic(out.thetas[:, 0], oracle.cdf))
-            per_s[S] = distances
+            chains = [(derive_seed(seed, "bias", variant, S, chain), chain)
+                      for chain in range(exp.bias_chains)]
+            outs = run_chains(model, kernel, t_y, S, variant, proposal, n_iter, burn, chains,
+                              thin=exp.bias_thin)
+            per_s[S] = [ks_statistic(out.thetas[:, 0], oracle.cdf) for out in outs]
         rows[variant] = per_s
 
     s_lo, s_hi = min(exp.bias_s_grid), max(exp.bias_s_grid)

@@ -16,9 +16,13 @@ all emitted metadata.
 
 Both variants share one acceptance computation: the marginal-estimate reading
 and the joint-density reading of the ratio are the same expression, so there
-is exactly one code path for it.
+is exactly one code path for it.  ``run_chains`` runs a batch of C chains in
+lockstep and ``run_mcmc`` is its batch of one: each chain draws on its own
+substream exactly what it draws alone, and the prior, the kernel and the MH
+step run once per iteration for the whole batch.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,8 +31,8 @@ import numpy as np
 from .errors import BudgetExhaustedError, ConfigurationError, DomainError
 from .kernels import _LOG_SQRT_2PI
 from .rng import substream
-from .target import (AugmentedState, MoveRecord, joint_logdensity_unnorm, mh_step,
-                     simulate_checked)
+from .target import (AugmentedState, MoveRecord, _check_bundle, joint_logdensity_unnorm,
+                     mh_step, simulate_checked)
 
 CARRIED_BUNDLE = "carried"
 FRESH_DENOMINATOR = "fresh"
@@ -73,9 +77,17 @@ class ProposalSpec:
         return self.kind == "random-walk"
 
     def sample(self, theta, model, rng):
-        if self.kind == "prior":
+        """A proposal per row of theta, from ``rng``, or from ``rng[k]`` for row k when
+        ``rng`` is a list (a chain batch): each draws what it draws for its row alone."""
+        if not isinstance(rng, np.random.Generator):
+            if self.kind == "prior":
+                return np.array([model.prior_sample(r) for r in rng])
+            noise = np.array([r.standard_normal(np.shape(theta)[-1]) for r in rng])
+        elif self.kind == "prior":
             return model.prior_sample(rng, np.shape(theta)[:-1])
-        return theta + self.step(model) * rng.standard_normal(np.shape(theta))
+        else:
+            noise = rng.standard_normal(np.shape(theta))
+        return theta + self.step(model) * noise
 
     def logdensity(self, frm, to, model):
         """log q(frm -> to); pointwise evaluable for both kinds."""
@@ -103,12 +115,6 @@ class McmcOutput:
     n_iter: int
 
 
-def _simulated_state(theta, model, kernel, t_y, S, rng, stream, iteration):
-    bundle = simulate_checked(model, theta, S, rng, stream, iteration)
-    log_num = joint_logdensity_unnorm(theta, bundle, t_y, kernel, model)
-    return AugmentedState(theta, bundle, log_num)
-
-
 def initialize_chain(model, kernel, t_y, S, rng, init=None, init_budget=100_000,
                      stream=None):
     """Draw a starting state with nonzero pooled kernel (budgeted).
@@ -122,9 +128,10 @@ def initialize_chain(model, kernel, t_y, S, rng, init=None, init_budget=100_000,
             raise DomainError(f"init theta={init} outside the prior's support")
     for _ in range(init_budget):
         theta = model.prior_sample(rng) if init is None else init
-        state = _simulated_state(theta, model, kernel, t_y, S, rng, stream, 0)
-        if state.log_num > -np.inf:
-            return state
+        bundle = simulate_checked(model, theta, S, rng, stream, 0)
+        log_num = joint_logdensity_unnorm(theta, bundle, t_y, kernel, model)
+        if log_num > -np.inf:
+            return AugmentedState(theta, bundle, log_num)
     where = "from the prior" if init is None else f"at init theta={init}"
     raise BudgetExhaustedError(
         f"chain initialization found no state with nonzero kernel {where} "
@@ -132,13 +139,104 @@ def initialize_chain(model, kernel, t_y, S, rng, init=None, init_budget=100_000,
 
 
 def check_arguments(variant, n_iter, burn_in, thin):
-    """The checks ``run_mcmc`` makes on its scalar arguments."""
+    """The checks ``run_chains`` makes on its scalar arguments."""
     if variant not in MCMC_VARIANTS:
         raise ConfigurationError(f"unknown MCMC variant {variant!r}")
     if not (n_iter > burn_in >= 0):
         raise ConfigurationError("need n_iter > burn_in >= 0")
     if thin < 1:
         raise ConfigurationError("thin must be >= 1")
+
+
+def _simulate_rows(model, thetas, S, rngs, streams, iteration, live, fill):
+    """Bundles for thetas (C, p): row k simulated alone on ``rngs[k]`` where ``live[k]``,
+    else ``fill[k]``.  One check covers the batch; on failure the first bad row raises
+    ``simulate_checked``'s error.  A lone chain's (p,) theta gives its (S, d) bundle."""
+    if thetas.ndim == 1:
+        return simulate_checked(model, thetas, S, rngs[0], streams[0], iteration)
+    rows = np.flatnonzero(live)
+    bundles = [model.simulate(thetas[k], S, rngs[k]) for k in rows]
+    expected = (S, model.summary_dim)
+    batch = np.array(bundles) if all(np.shape(b) == expected for b in bundles) else None
+    if batch is None or not np.isfinite(batch).all():
+        for k, bundle in zip(rows, bundles):
+            _check_bundle(model, bundle, expected, streams[k], iteration)
+    if rows.size == len(thetas):
+        return batch
+    out = fill.copy()
+    out[rows] = batch
+    return out
+
+
+def run_chains(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, chains, *,
+               thin=1, init=None, init_budget=100_000,
+               on_iteration: Optional[Callable[[MoveRecord], None]] = None):
+    """Run C chains in lockstep; returns one ``McmcOutput`` per (seed, chain_id) pair.
+
+    Chain k lives on the substream (seed, "mcmc", "chain", chain_id) of
+    ``chains[k]`` and draws what it draws alone, in the same order: the
+    proposal; then, only inside the prior's support, its simulation, the fresh
+    re-simulation and the uniform.  The state is theta (C, p), bundle (C, S, d)
+    and the cached ``log_prior`` and ``log_pooled`` (C,); a lone chain has no
+    leading axis (numpy scalars are cheaper than (1,) arrays).  A row whose
+    proposal leaves the support has log prior -inf and is rejected.  ``init``
+    starts every chain at one theta.  Each iteration with a live proposal hands
+    ``on_iteration`` its ``MoveRecord``.
+    """
+    check_arguments(variant, n_iter, burn_in, thin)
+    try:
+        streams = [(seed, "mcmc", "chain", operator.index(k)) for seed, k in chains]
+        rngs = [substream(*stream) for stream in streams]
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"chains must be (seed, chain_id) integer pairs: {exc}") from None
+    if not rngs:
+        raise ConfigurationError("chains must hold at least one (seed, chain_id) pair")
+    C = len(rngs)
+    stack, count, draw = (((lambda rows: rows[0]), int, rngs[0]) if C == 1
+                          else (np.array, np.count_nonzero, rngs))
+    starts = [initialize_chain(model, kernel, t_y, S, rng, init, init_budget, stream)
+              for rng, stream in zip(rngs, streams)]
+    theta, bundle = stack([st.theta for st in starts]), stack([st.bundle for st in starts])
+    log_prior, log_pooled = model.prior_logdensity(theta), kernel.log_pooled(t_y, bundle)
+    kept = np.arange(burn_in + 1, n_iter + 1, thin, dtype=np.int64)
+    kept_thetas, kept_lognums = np.empty((kept.size, C, model.param_dim)), np.empty((kept.size, C))
+    flags = np.zeros((n_iter + 1, C), dtype=bool)
+    for n in range(1, n_iter + 1):
+        theta_prop = proposal.sample(theta, model, draw)
+        # the support check's value is the proposal's log prior
+        log_prior_prop = model.prior_logdensity(theta_prop)
+        live = log_prior_prop > -np.inf
+        if count(live):
+            bundle_prop = _simulate_rows(model, theta_prop, S, rngs, streams, n, live, bundle)
+            log_pooled_prop = kernel.log_pooled(t_y, bundle_prop)
+            if variant == FRESH_DENOMINATOR:
+                # latest estimate at the (unchanged) current parameters
+                bundle = _simulate_rows(model, theta, S, rngs, streams, n, live, bundle)
+                log_pooled = kernel.log_pooled(t_y, bundle)
+            u = (draw.uniform() if C == 1 else
+                 np.array([rng.uniform() if ok else 1.0 for rng, ok in zip(rngs, live)]))
+            prop = AugmentedState(theta_prop, bundle_prop, log_pooled_prop + log_prior_prop)
+            curr = AugmentedState(theta, bundle, log_pooled + log_prior)
+            log_ratio, accepted = mh_step(prop.log_num, curr.log_num,
+                                          proposal.log_q_ratio(theta, theta_prop, model), u)
+            if on_iteration is not None:
+                on_iteration(MoveRecord(n, prop, curr, log_ratio, u, accepted))
+            flags[n] = accepted
+            n_accepted = count(accepted)
+            if n_accepted == C:
+                theta, bundle = theta_prop, bundle_prop
+                log_prior, log_pooled = log_prior_prop, log_pooled_prop
+            elif n_accepted:  # new arrays: a record may hold the old ones
+                theta = np.where(accepted[:, np.newaxis], theta_prop, theta)
+                bundle = np.where(accepted[:, np.newaxis, np.newaxis], bundle_prop, bundle)
+                log_prior = np.where(accepted, log_prior_prop, log_prior)
+                log_pooled = np.where(accepted, log_pooled_prop, log_pooled)
+        if n > burn_in and (n - burn_in - 1) % thin == 0:
+            j = (n - burn_in - 1) // thin
+            kept_thetas[j], kept_lognums[j] = theta, log_pooled + log_prior
+    return [McmcOutput(kept.copy(), kept_thetas[:, k].copy(), flags[kept, k],
+                       kept_lognums[:, k].copy(), int(np.count_nonzero(flags[:, k])) / n_iter,
+                       variant, n_iter) for k in range(C)]
 
 
 def run_mcmc(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, seed, *,
@@ -148,45 +246,8 @@ def run_mcmc(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, seed, *,
 
     The whole chain lives on the substream (seed, "mcmc", "chain", chain_id),
     so independent chains on distinct ids are reproducible regardless of
-    scheduling.
+    scheduling.  It is ``run_chains`` on that one chain; its records hold scalars.
     """
-    check_arguments(variant, n_iter, burn_in, thin)
-
-    stream = (seed, "mcmc", "chain", chain_id)
-    rng = substream(*stream)
-    state = initialize_chain(model, kernel, t_y, S, rng, init=init, init_budget=init_budget,
-                             stream=stream)
-
-    kept_iters, kept_thetas, kept_flags, kept_lognums = [], [], [], []
-    n_accepted = 0
-
-    for n in range(1, n_iter + 1):
-        theta_prop = proposal.sample(state.theta, model, rng)
-        accepted = False
-        if model.prior_logdensity(theta_prop) > -np.inf:
-            prop = _simulated_state(theta_prop, model, kernel, t_y, S, rng, stream, n)
-            if variant == FRESH_DENOMINATOR:
-                # latest estimate at the (unchanged) current parameter
-                state = _simulated_state(state.theta, model, kernel, t_y, S, rng, stream, n)
-            u = rng.uniform()
-            log_q_ratio = proposal.log_q_ratio(state.theta, prop.theta, model)
-            log_ratio, accepted = mh_step(prop.log_num, state.log_num, log_q_ratio, u)
-            if on_iteration is not None:
-                on_iteration(MoveRecord(n, prop, state, float(log_ratio), u, bool(accepted)))
-            if accepted:
-                state = prop
-                n_accepted += 1
-        if n > burn_in and (n - burn_in - 1) % thin == 0:
-            kept_iters.append(n)
-            kept_thetas.append(state.theta.copy())
-            kept_flags.append(accepted)
-            kept_lognums.append(state.log_num)
-
-    return McmcOutput(
-        iterations=np.asarray(kept_iters, dtype=np.int64),
-        thetas=np.asarray(kept_thetas, dtype=float),
-        accepted=np.asarray(kept_flags, dtype=bool),
-        log_nums=np.asarray(kept_lognums, dtype=float),
-        acceptance_rate=n_accepted / n_iter,
-        variant=variant, n_iter=n_iter,
-    )
+    return run_chains(model, kernel, t_y, S, variant, proposal, n_iter, burn_in,
+                      [(seed, chain_id)], thin=thin, init=init, init_budget=init_budget,
+                      on_iteration=on_iteration)[0]

@@ -42,11 +42,12 @@ class AugmentedState:
 class MoveRecord:
     """One realized Metropolis-Hastings move, handed to instrumentation callbacks.
 
-    A chain iteration holds scalars.  An SMC step holds rows, one per particle
-    whose proposal lies in the prior's support.  ``curr`` is the state the
-    proposal was weighed against (the fresh estimate, for the fresh variant),
-    and ``mh_step(prop.log_num, curr.log_num, log_q_ratio, u)`` replays
-    ``(log_ratio, accepted)``.
+    A lone chain's iteration holds scalars, a chain batch's one row per chain (a
+    row whose proposal left the prior's support has u = 1 and is rejected), and
+    an SMC step one row per particle whose proposal lies in the prior's support.
+    ``curr`` is the state the proposal was weighed against (the fresh estimate,
+    for the fresh variant), and ``mh_step(prop.log_num, curr.log_num,
+    log_q_ratio, u)`` replays ``(log_ratio, accepted)``.
     """
 
     step: int
@@ -80,8 +81,12 @@ def simulate_checked(model, theta, S, rng, stream=None, iteration=None):
     ``iteration`` the MCMC iteration (0 for the chain's initialization); the
     error names them, so ``substream(*stream)`` replays the bad draw.
     """
-    bundle = model.simulate(theta, S, rng)
     expected = (*np.shape(theta)[:-1], S, model.summary_dim)
+    return _check_bundle(model, model.simulate(theta, S, rng), expected, stream, iteration)
+
+
+def _check_bundle(model, bundle, expected, stream, iteration):
+    """``bundle`` if it has shape ``expected`` and only finite values; else the error above."""
     if np.shape(bundle) != expected:
         raise DomainError(f"model {model.name!r} simulated summaries of shape "
                           f"{np.shape(bundle)}, expected {expected}"

@@ -29,12 +29,18 @@ class ConstantKernel:
 
 
 class CountingModel:
-    """Delegating wrapper that counts bundles simulated (one per theta row) and summaries."""
+    """Delegating wrapper that counts bundles simulated (one per theta row), summaries
+    and calls of ``prior_logdensity``."""
 
     def __init__(self, model):
         self._model = model
         self.n_calls = 0
         self.n_summaries = 0
+        self.n_prior_calls = 0
+
+    def prior_logdensity(self, theta):
+        self.n_prior_calls += 1
+        return self._model.prior_logdensity(theta)
 
     def simulate(self, theta, n, rng):
         rows = math.prod(np.shape(theta)[:-1])

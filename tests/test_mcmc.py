@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import ConstantKernel, NanBundleModel
+from helpers import ConstantKernel, CountingModel, NanBundleModel
 from lfs.diagnostics import batch_means_se, ks_critical_value, ks_statistic
 from lfs.errors import BudgetExhaustedError, ConfigurationError, DomainError
 from lfs.kernels import SmoothingKernel
-from lfs.mcmc import CARRIED_BUNDLE, FRESH_DENOMINATOR, ProposalSpec, run_mcmc
-from lfs.models import NormalMeanModel
+from lfs.mcmc import (CARRIED_BUNDLE, FRESH_DENOMINATOR, MCMC_VARIANTS, PROPOSAL_KINDS,
+                      ProposalSpec, run_chains, run_mcmc)
+from lfs.models import NormalMeanModel, make_model
 from lfs.target import mh_step
 
 
@@ -188,3 +189,121 @@ def test_non_finite_simulator_output_at_initialization_names_iteration_zero():
     with pytest.raises(DomainError) as err:
         run_mcmc(model, kernel, 0.0, 1, CARRIED_BUNDLE, ProposalSpec(), 10, 0, seed=7)
     assert "(seed 7, substream ('mcmc', 'chain', 0), iteration 0)" in str(err.value)
+
+
+@pytest.mark.parametrize("variant", MCMC_VARIANTS)
+def test_prior_evaluated_once_per_iteration(variant):
+    # the support check's value is the proposal's log prior, and the fresh
+    # re-estimate reuses the current state's cached one: one call per iteration
+    # for a whole batch, plus one per chain and one for the batch at initialization
+    kernel = SmoothingKernel("gaussian", 1.0)
+    n_iter = 1000
+    lone = CountingModel(NormalMeanModel())
+    run_mcmc(lone, kernel, 0.0, 2, variant, ProposalSpec(step_sd=1.0), n_iter, 0, seed=3)
+    assert lone.n_prior_calls <= n_iter + 2
+    batched = CountingModel(NormalMeanModel())
+    run_chains(batched, kernel, 0.0, 2, variant, ProposalSpec(step_sd=1.0), n_iter, 0,
+               [(3, k) for k in range(4)])
+    assert batched.n_prior_calls <= n_iter + 4 + 1
+
+
+def _target(name):
+    if name == "normal-mean":
+        return make_model(name), SmoothingKernel("gaussian", 1.0), 0.0, 1.0
+    # steps of 0.3 around a posterior near 0.35 often leave [0, 1]
+    return make_model(name), SmoothingKernel("uniform", 0.5), 7.0, 0.3
+
+
+def _assert_same_chain(alone, batched):
+    assert np.array_equal(alone.iterations, batched.iterations)
+    assert np.array_equal(alone.thetas, batched.thetas)
+    assert np.array_equal(alone.accepted, batched.accepted)
+    assert np.array_equal(alone.log_nums, batched.log_nums)
+    assert alone.acceptance_rate == batched.acceptance_rate
+
+
+@pytest.mark.parametrize("S", [1, 10])
+@pytest.mark.parametrize("variant", MCMC_VARIANTS)
+@pytest.mark.parametrize("kind", PROPOSAL_KINDS)
+@pytest.mark.parametrize("name", ["normal-mean", "bernoulli-count"])
+def test_chain_is_the_same_alone_and_in_a_batch(name, kind, variant, S):
+    model, kernel, t_y, step = _target(name)
+    proposal = ProposalSpec(kind, step)
+    chains = [(50 + k % 3, k) for k in range(10)]
+    batch_records = []
+    batch = run_chains(model, kernel, t_y, S, variant, proposal, 300, 20, chains, thin=3,
+                       on_iteration=batch_records.append)
+    assert len(batch) == 10
+    by_step = {rec.step: rec for rec in batch_records}
+    for k, ((seed, chain_id), out) in enumerate(zip(chains, batch)):
+        records = []
+        alone = run_mcmc(model, kernel, t_y, S, variant, proposal, 300, 20, seed, thin=3,
+                         chain_id=chain_id, on_iteration=records.append)
+        _assert_same_chain(alone, out)
+        # a lone chain's record holds its scalars, a batch record one row per chain
+        for a in records:
+            b = by_step[a.step]
+            assert (a.log_ratio, a.u, a.accepted) == (b.log_ratio[k], b.u[k], b.accepted[k])
+            assert np.array_equal(a.prop.bundle, b.prop.bundle[k])
+            assert (a.prop.log_num, a.curr.log_num) == (b.prop.log_num[k], b.curr.log_num[k])
+        # in the other batch records chain k's proposal left the support: rejected
+        dead = set(by_step) - {a.step for a in records}
+        assert all(by_step[n].prop.log_num[k] == -np.inf and not by_step[n].accepted[k]
+                   for n in dead)
+        if name == "bernoulli-count" and kind == "random-walk":
+            # some iterations ran with part of the batch outside the prior's support
+            assert dead
+
+
+@pytest.mark.parametrize("name", ["normal-mean", "bernoulli-count"])
+def test_chain_is_the_same_alone_and_in_a_batch_from_an_explicit_init(name):
+    model, kernel, t_y, step = _target(name)
+    proposal = ProposalSpec("random-walk", step)
+    chains = [(9, k) for k in range(10)]
+    init = np.array([0.4])
+    batch = run_chains(model, kernel, t_y, 10, FRESH_DENOMINATOR, proposal, 200, 0, chains,
+                       init=init, thin=7)
+    for (seed, chain_id), out in zip(chains, batch):
+        alone = run_mcmc(model, kernel, t_y, 10, FRESH_DENOMINATOR, proposal, 200, 0, seed,
+                         init=init, thin=7, chain_id=chain_id)
+        _assert_same_chain(alone, out)
+
+
+@pytest.mark.parametrize("variant,iteration", [(CARRIED_BUNDLE, 6), (FRESH_DENOMINATOR, 3)])
+def test_non_finite_simulator_output_in_a_batch_names_its_chain(variant, iteration):
+    # bundles are counted across the batch: three at initialization, then per
+    # iteration one proposal bundle per chain (and, fresh, one re-estimate per
+    # chain), so the first bad bundle, the 20th, is the second chain's
+    model = NanBundleModel(clean_bundles=10)
+    with pytest.raises(DomainError, match="3 non-finite summaries out of 3") as err:
+        run_chains(model, SmoothingKernel("gaussian", 1.0), 0.0, 3, variant, ProposalSpec(),
+                   100, 0, [(4, 5), (4, 7), (4, 9)])
+    assert f"(seed 4, substream ('mcmc', 'chain', 7), iteration {iteration})" in str(err.value)
+
+
+class _WideAfter(NormalMeanModel):
+    """Normal-mean model whose simulator doubles the summary's width after ``good`` calls."""
+
+    def __init__(self, good):
+        super().__init__()
+        self.good, self.calls = good, 0
+
+    def simulate(self, theta, n, rng):
+        out = super().simulate(theta, n, rng)
+        self.calls += 1
+        return out if self.calls <= self.good else np.concatenate([out, out], axis=-1)
+
+
+def test_mis_shaped_simulator_output_in_a_batch_names_its_chain():
+    # three initialization calls, then the first iteration's second chain is bad
+    with pytest.raises(DomainError, match=r"shape \(2, 2\), expected \(2, 1\)") as err:
+        run_chains(_WideAfter(4), SmoothingKernel("gaussian", 1.0), 0.0, 2, CARRIED_BUNDLE,
+                   ProposalSpec(), 10, 0, [(6, 0), (6, 1), (6, 2)])
+    assert "(seed 6, substream ('mcmc', 'chain', 1), iteration 1)" in str(err.value)
+
+
+@pytest.mark.parametrize("chains", [[], [(1,)], [(1, 2, 3)], [(1, "a")], [(1, 0.5)],
+                                    [("x", 0)], [(-1, 0)], 5, None])
+def test_malformed_chains_raise_configuration_error(model, kernel, chains):
+    with pytest.raises(ConfigurationError, match="chains"):
+        run_chains(model, kernel, 0.0, 1, CARRIED_BUNDLE, ProposalSpec(), 10, 0, chains)
