@@ -186,6 +186,7 @@ class RunConfig:
         """
         run, rej, mcmc, smc, exp = (self.run, self.rejection, self.mcmc, self.smc,
                                     self.experiment)
+        problems = {}
         checks = [
             ("run", lambda: _require(0 <= run.seed <= MAX_SEED,
                                      "seed must be a 64-bit unsigned integer")),
@@ -194,6 +195,9 @@ class RunConfig:
             ("model", lambda: [make_model(**dict(vars(self.model), name=name))
                                for name in (self.model.name, *MODEL_NAMES)]),
             ("kernel", self.build_kernel),
+            # a model that does not build is reported under [model] only
+            ("kernel", lambda: "model" in problems or self.build_kernel().distance.of_difference(
+                [0.0] * self.build_model().summary_dim)),
             ("rejection", lambda: check_rejection(run.s, rej.n_accept, rej.budget,
                                                   rej.block_size, 1)),
             ("mcmc", self.build_proposal),
@@ -209,7 +213,6 @@ class RunConfig:
             ("experiment", lambda: [check_s_grid(name, getattr(exp, name)) for name in (
                 "cross_s_grid", "bias_s_grid", "sinv_s_grid")]),
         ]
-        problems = {}
         for section, check in checks:
             if section not in problems:
                 try:

@@ -55,6 +55,9 @@ class SummaryDistance:
             u = u[np.newaxis]
         if self.weights is None:
             return np.sqrt(np.sum(u * u, axis=-1))
+        if self.weights.shape[0] != u.shape[-1]:
+            raise ConfigurationError(f"{self.weights.shape[0]} distance weights given for "
+                                     f"summaries of dimension {u.shape[-1]}")
         return np.sqrt(np.sum(self.weights * u * u, axis=-1))
 
 

@@ -14,12 +14,10 @@ chain's stationary distribution only approaches the smoothed marginal as S
 grows.  It exists to make that bias observable and is labeled as biased in
 all emitted metadata.
 
-Both variants share one acceptance computation: the marginal-estimate reading
-and the joint-density reading of the ratio are the same expression, so there
-is exactly one code path for it.  ``run_chains`` runs a batch of C chains in
-lockstep and ``run_mcmc`` is its batch of one: each chain draws on its own
-substream exactly what it draws alone, and the prior, the kernel and the MH
-step run once per iteration for the whole batch.
+Both variants, like SMC's joint-move mutation, make the one MH move
+``target.mh_move`` on one batched ``AugmentedState``.  ``run_chains`` runs C
+chains in lockstep, each drawing on its own substream exactly what it draws
+alone; ``run_mcmc`` is its batch of one.
 """
 
 import operator
@@ -32,7 +30,7 @@ from .errors import BudgetExhaustedError, ConfigurationError, DomainError
 from .kernels import _LOG_SQRT_2PI
 from .rng import substream
 from .target import (AugmentedState, MoveRecord, _check_bundle, joint_logdensity_unnorm,
-                     mh_step, simulate_checked)
+                     mh_move, simulate_checked)
 
 CARRIED_BUNDLE = "carried"
 FRESH_DENOMINATOR = "fresh"
@@ -117,7 +115,7 @@ class McmcOutput:
 
 def initialize_chain(model, kernel, t_y, S, rng, init=None, init_budget=100_000,
                      stream=None):
-    """Draw a starting state with nonzero pooled kernel (budgeted).
+    """Draw a starting (theta, bundle) with nonzero pooled kernel (budgeted).
 
     With ``init`` the parameter is fixed and only its bundle is redrawn.
     ``stream`` is the ``(seed, *path)`` of ``rng``, named by simulator errors.
@@ -129,9 +127,8 @@ def initialize_chain(model, kernel, t_y, S, rng, init=None, init_budget=100_000,
     for _ in range(init_budget):
         theta = model.prior_sample(rng) if init is None else init
         bundle = simulate_checked(model, theta, S, rng, stream, 0)
-        log_num = joint_logdensity_unnorm(theta, bundle, t_y, kernel, model)
-        if log_num > -np.inf:
-            return AugmentedState(theta, bundle, log_num)
+        if joint_logdensity_unnorm(theta, bundle, t_y, kernel, model) > -np.inf:
+            return theta, bundle
     where = "from the prior" if init is None else f"at init theta={init}"
     raise BudgetExhaustedError(
         f"chain initialization found no state with nonzero kernel {where} "
@@ -176,12 +173,12 @@ def run_chains(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, chains
     Chain k lives on the substream (seed, "mcmc", "chain", chain_id) of
     ``chains[k]`` and draws what it draws alone, in the same order: the
     proposal; then, only inside the prior's support, its simulation, the fresh
-    re-simulation and the uniform.  The state is theta (C, p), bundle (C, S, d)
-    and the cached ``log_prior`` and ``log_pooled`` (C,); a lone chain has no
-    leading axis (numpy scalars are cheaper than (1,) arrays).  A row whose
-    proposal leaves the support has log prior -inf and is rejected.  ``init``
-    starts every chain at one theta.  Each iteration with a live proposal hands
-    ``on_iteration`` its ``MoveRecord``.
+    re-simulation and the uniform.  The batch is one ``AugmentedState`` with
+    rows (C, ...); a lone chain has no leading axis (numpy scalars are cheaper
+    than (1,) arrays).  A row whose proposal leaves the support has log prior
+    -inf and is rejected by ``mh_move``.  ``init`` starts every chain at one
+    theta.  Each iteration with a live proposal hands ``on_iteration`` its
+    ``MoveRecord``.
     """
     check_arguments(variant, n_iter, burn_in, thin)
     try:
@@ -192,48 +189,43 @@ def run_chains(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, chains
     if not rngs:
         raise ConfigurationError("chains must hold at least one (seed, chain_id) pair")
     C = len(rngs)
-    stack, count, draw = (((lambda rows: rows[0]), int, rngs[0]) if C == 1
-                          else (np.array, np.count_nonzero, rngs))
-    starts = [initialize_chain(model, kernel, t_y, S, rng, init, init_budget, stream)
-              for rng, stream in zip(rngs, streams)]
-    theta, bundle = stack([st.theta for st in starts]), stack([st.bundle for st in starts])
-    log_prior, log_pooled = model.prior_logdensity(theta), kernel.log_pooled(t_y, bundle)
+    stack, some, draw = (((lambda rows: rows[0]), bool, rngs[0]) if C == 1
+                         else (np.array, np.count_nonzero, rngs))
+    theta, bundle = map(stack, zip(*(
+        initialize_chain(model, kernel, t_y, S, rng, init, init_budget, stream)
+        for rng, stream in zip(rngs, streams))))
+    state = AugmentedState(theta, bundle, model.prior_logdensity(theta),
+                           kernel.log_pooled(t_y, bundle))
+    symmetric = proposal.symmetric
     kept = np.arange(burn_in + 1, n_iter + 1, thin, dtype=np.int64)
     kept_thetas, kept_lognums = np.empty((kept.size, C, model.param_dim)), np.empty((kept.size, C))
     flags = np.zeros((n_iter + 1, C), dtype=bool)
     for n in range(1, n_iter + 1):
-        theta_prop = proposal.sample(theta, model, draw)
+        theta_prop = proposal.sample(state.theta, model, draw)
         # the support check's value is the proposal's log prior
         log_prior_prop = model.prior_logdensity(theta_prop)
         live = log_prior_prop > -np.inf
-        if count(live):
-            bundle_prop = _simulate_rows(model, theta_prop, S, rngs, streams, n, live, bundle)
-            log_pooled_prop = kernel.log_pooled(t_y, bundle_prop)
+        if some(live):
+            bundle_prop = _simulate_rows(model, theta_prop, S, rngs, streams, n, live,
+                                         state.bundle)
+            prop = AugmentedState(theta_prop, bundle_prop, log_prior_prop,
+                                  kernel.log_pooled(t_y, bundle_prop))
             if variant == FRESH_DENOMINATOR:
                 # latest estimate at the (unchanged) current parameters
-                bundle = _simulate_rows(model, theta, S, rngs, streams, n, live, bundle)
-                log_pooled = kernel.log_pooled(t_y, bundle)
+                bundle = _simulate_rows(model, state.theta, S, rngs, streams, n, live,
+                                        state.bundle)
+                state = AugmentedState(state.theta, bundle, state.log_prior,
+                                       kernel.log_pooled(t_y, bundle))
             u = (draw.uniform() if C == 1 else
                  np.array([rng.uniform() if ok else 1.0 for rng, ok in zip(rngs, live)]))
-            prop = AugmentedState(theta_prop, bundle_prop, log_pooled_prop + log_prior_prop)
-            curr = AugmentedState(theta, bundle, log_pooled + log_prior)
-            log_ratio, accepted = mh_step(prop.log_num, curr.log_num,
-                                          proposal.log_q_ratio(theta, theta_prop, model), u)
+            curr = state
+            state, log_ratio, accepted = mh_move(curr, prop, symmetric, u)
             if on_iteration is not None:
                 on_iteration(MoveRecord(n, prop, curr, log_ratio, u, accepted))
             flags[n] = accepted
-            n_accepted = count(accepted)
-            if n_accepted == C:
-                theta, bundle = theta_prop, bundle_prop
-                log_prior, log_pooled = log_prior_prop, log_pooled_prop
-            elif n_accepted:  # new arrays: a record may hold the old ones
-                theta = np.where(accepted[:, np.newaxis], theta_prop, theta)
-                bundle = np.where(accepted[:, np.newaxis, np.newaxis], bundle_prop, bundle)
-                log_prior = np.where(accepted, log_prior_prop, log_prior)
-                log_pooled = np.where(accepted, log_pooled_prop, log_pooled)
         if n > burn_in and (n - burn_in - 1) % thin == 0:
             j = (n - burn_in - 1) // thin
-            kept_thetas[j], kept_lognums[j] = theta, log_pooled + log_prior
+            kept_thetas[j], kept_lognums[j] = state.theta, state.log_num
     return [McmcOutput(kept.copy(), kept_thetas[:, k].copy(), flags[kept, k],
                        kept_lognums[:, k].copy(), int(np.count_nonzero(flags[:, k])) / n_iter,
                        variant, n_iter) for k in range(C)]

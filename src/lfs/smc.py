@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigurationError, ParticleCollapseError
 from .kernels import _LOG_SQRT_2PI
 from .rng import substream
-from .target import (AugmentedState, MoveRecord, check_bundle_size, log_quotient, mh_step,
+from .target import (AugmentedState, MoveRecord, check_bundle_size, log_quotient, mh_move,
                      simulate_checked)
 
 JOINT_MCMC_MOVE = "joint-move"
@@ -202,35 +202,6 @@ def incremental_weight_backward(new_thetas, log_num_new, prev_thetas, prev_log_w
     return log_quotient(log_num_new, log_mix)
 
 
-@dataclass
-class ParticleSystem:
-    """Weighted particle population with its bandwidth-schedule position."""
-
-    thetas: np.ndarray             # (N, param_dim)
-    bundles: np.ndarray            # (N, S, summary_dim)
-    log_weights: np.ndarray
-    log_pooled: np.ndarray         # at the current bandwidth
-    log_prior: np.ndarray
-    k: int
-
-    def normalized_weights(self):
-        return normalize_log_weights(self.log_weights, step=self.k)
-
-    def replace(self, rows, thetas, bundles, log_pooled, log_prior):
-        """Overwrite the selected rows (accepted or mutated particles) in place."""
-        self.thetas[rows] = thetas[rows]
-        self.bundles[rows] = bundles[rows]
-        self.log_pooled[rows] = log_pooled[rows]
-        self.log_prior[rows] = log_prior[rows]
-
-    def resample(self, indices):
-        self.thetas = self.thetas[indices]
-        self.bundles = self.bundles[indices]
-        self.log_pooled = self.log_pooled[indices]
-        self.log_prior = self.log_prior[indices]
-        self.log_weights = np.full(len(indices), -math.log(len(indices)))
-
-
 def apply_particle_rejection(weights, threshold, rng):
     """Probabilistic rejection of low-weight particles, unbiased in expectation.
 
@@ -296,82 +267,73 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
     rng_init = substream(*stream)
     thetas = model.prior_sample(rng_init, (N,))
     bundles = simulate_checked(model, thetas, S, rng_init, stream)
-    log_pooled = kernel.with_bandwidth(hs[0]).log_pooled(t_y, bundles)
-    log_prior = model.prior_logdensity(thetas)
-    system = ParticleSystem(thetas, bundles, log_pooled.copy(), log_pooled, log_prior, k=1)
-
-    norm_w = system.normalized_weights()
+    state = AugmentedState(thetas, bundles, model.prior_logdensity(thetas),
+                           kernel.with_bandwidth(hs[0]).log_pooled(t_y, bundles))
+    log_w = state.log_pooled
+    norm_w = normalize_log_weights(log_w, step=1)
     ess_trace = [ess(norm_w)]
     acceptance_trace = []
     resampled_steps = []
 
     for k in range(2, schedule.n_steps + 1):
-        system.k = k
         kern = kernel.with_bandwidth(hs[k - 1])
         if variant == JOINT_MCMC_MOVE:
             # reweight by the bandwidth-tightening factor on the pre-move bundles: with
             # a mutation invariant for the new target and its time-reversal as the
             # backward kernel, the general joint weight reduces to the pooled-kernel
             # ratio at the new and the previous bandwidth (-inf kills the particle)
-            log_pooled = kern.log_pooled(t_y, system.bundles)
-            system.log_weights = system.log_weights + log_quotient(log_pooled, system.log_pooled)
-            system.log_pooled = log_pooled
-            norm_w = system.normalized_weights()
+            log_pooled = kern.log_pooled(t_y, state.bundle)
+            log_w = log_w + log_quotient(log_pooled, state.log_pooled)
+            state = AugmentedState(state.theta, state.bundle, state.log_prior, log_pooled)
+            norm_w = normalize_log_weights(log_w, step=k)
         else:
-            # the pre-resample weighted population is the mixture reference; it is
-            # read before replace() below overwrites system.thetas in place
-            prev_thetas = system.thetas
+            # the pre-resample weighted population is the mixture reference
+            prev_thetas = state.theta
             with np.errstate(divide="ignore"):
                 prev_logw = np.log(norm_w)
 
         if ess(norm_w) < ess_threshold * N:
             idx = systematic_indices(norm_w, substream(seed, "smc", "step", k, "resample"))
-            system.resample(idx)
-            norm_w = system.normalized_weights()
+            state = state.take(idx)
+            log_w = np.full(N, -math.log(N))
+            norm_w = normalize_log_weights(log_w, step=k)
             resampled_steps.append(k)
 
         # one proposal per particle; rows outside the prior keep their bundle
         stream = (seed, "smc", "step", k, "mutate")
         rng = substream(*stream)
-        thetas = mutation.sample(system.thetas, model, rng)
+        thetas = mutation.sample(state.theta, model, rng)
         log_prior = model.prior_logdensity(thetas)
         live = log_prior > -np.inf
-        bundles = system.bundles.copy()
+        bundles = state.bundle.copy()
         bundles[live] = simulate_checked(model, thetas[live], S, rng, stream)
-        log_pooled = np.where(live, kern.log_pooled(t_y, bundles), -np.inf)
+        prop = AugmentedState(thetas, bundles, log_prior, kern.log_pooled(t_y, bundles))
 
         if variant == JOINT_MCMC_MOVE:
             # one carried-bundle MH step per particle, invariant for the new target
-            log_num_prop = log_pooled + log_prior
-            log_num = system.log_pooled + system.log_prior
             u = rng.uniform(size=N)
-            log_ratio, accept = mh_step(log_num_prop, log_num,
-                                        mutation.log_q_ratio(system.thetas, thetas, model), u)
-            accept &= live
+            curr = state
+            state, log_ratio, accept = mh_move(curr, prop, mutation.symmetric, u)
             if on_mutation is not None:
-                on_mutation(MoveRecord(
-                    k, AugmentedState(thetas[live], bundles[live], log_num_prop[live]),
-                    AugmentedState(system.thetas[live], system.bundles[live], log_num[live]),
-                    log_ratio[live], u[live], accept[live]))
-            system.replace(accept, thetas, bundles, log_pooled, log_prior)
+                on_mutation(MoveRecord(k, prop.take(live), curr.take(live), log_ratio[live],
+                                       u[live], accept[live]))
             acceptance_trace.append(float(np.mean(accept)))
         else:
-            incr = incremental_weight_backward(thetas, log_pooled + log_prior,
-                                               prev_thetas, prev_logw, mutation, model)
-            system.replace(slice(None), thetas, bundles, log_pooled, log_prior)
-            system.log_weights = system.log_weights + incr
-            norm_w = system.normalized_weights()
+            log_w = log_w + incremental_weight_backward(thetas, prop.log_num, prev_thetas,
+                                                        prev_logw, mutation, model)
+            state = prop
+            norm_w = normalize_log_weights(log_w, step=k)
             if reject_threshold is not None:
                 thresholded = apply_particle_rejection(
                     norm_w, reject_threshold,
                     substream(seed, "smc", "step", k, "threshold"))
                 with np.errstate(divide="ignore"):
-                    system.log_weights = np.log(thresholded)
-                norm_w = system.normalized_weights()
+                    log_w = np.log(thresholded)
+                norm_w = normalize_log_weights(log_w, step=k)
         ess_trace.append(ess(norm_w))
 
     return SmcOutput(
-        thetas=system.thetas, weights=norm_w,
+        thetas=state.theta, weights=norm_w,
         ess_trace=np.asarray(ess_trace), acceptance_trace=np.asarray(acceptance_trace),
         resampled_steps=np.asarray(resampled_steps, dtype=np.int64),
         schedule=schedule, variant=variant,

@@ -23,19 +23,46 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 
 
-@dataclass
+@dataclass(slots=True)
 class AugmentedState:
-    """A parameter with its simulated bundle and cached log[pooled kernel x prior].
+    """Parameters with their simulated bundles and cached log prior and log pooled kernel.
 
-    The one state type: a chain's state or a proposal awaiting the MH step, or
-    rows of either for particles.  ``log_num`` is only meaningful at the bandwidth
-    it was computed at; holders refresh it whenever their bandwidth changes.
-    -inf means every summary in the bundle missed the kernel's support.
+    The one state type, batched over leading axes: theta (..., p), bundle
+    (..., S, d), ``log_prior`` and ``log_pooled`` (...).  A lone chain has no
+    leading axis; a chain batch, a particle population or a batch of proposals
+    has one.  ``log_pooled`` is only meaningful at the bandwidth it was computed
+    at; holders refresh it whenever their bandwidth changes.  -inf means every
+    summary in a bundle missed the kernel's support, or theta left the prior's.
     """
 
     theta: np.ndarray
     bundle: np.ndarray
-    log_num: float
+    log_prior: np.ndarray
+    log_pooled: np.ndarray
+
+    @property
+    def log_num(self):
+        """log[pooled kernel x prior], the quantity every ratio and weight is built from."""
+        return self.log_pooled + self.log_prior
+
+    def take(self, rows):
+        """The state of the selected rows (indices or a mask), as new arrays."""
+        return AugmentedState(self.theta[rows], self.bundle[rows], self.log_prior[rows],
+                              self.log_pooled[rows])
+
+    def where(self, mask, other):
+        """``other``'s rows where ``mask``, else this state's, as new arrays.  A mask that
+        is all true or all false (a lone chain's numpy bool) returns ``other`` or ``self``."""
+        if mask.ndim == 0:
+            return other if mask else self
+        n = np.count_nonzero(mask)
+        if n in (0, mask.size):
+            return other if n else self
+        rows = mask[..., np.newaxis]
+        return AugmentedState(np.where(rows, other.theta, self.theta),
+                              np.where(rows[..., np.newaxis], other.bundle, self.bundle),
+                              np.where(mask, other.log_prior, self.log_prior),
+                              np.where(mask, other.log_pooled, self.log_pooled))
 
 
 @dataclass
@@ -122,14 +149,26 @@ def log_quotient(log_num, log_den):
 
 
 def mh_step(log_num_prop, log_num_curr, log_q_ratio, u):
-    """The Metropolis-Hastings step on the augmented (theta, bundle) space.
+    """The Metropolis-Hastings test on the augmented (theta, bundle) space.
 
     Maps (log_num_prop, log_num_curr, log q(prop -> curr) - log q(curr -> prop),
-    u) to (log_ratio, accept), vectorized: a chain is a batch of one and the
-    joint-move mutation a batch of N.  Both readings of the ratio (marginal
-    estimate and joint density) share this one implementation.  It draws no
-    randomness.  Two -inf values give -inf: the move is rejected.
+    u) to (log_ratio, accept), vectorized and drawing no randomness.  Both
+    readings of the ratio (marginal estimate and joint density) share it.  Two
+    -inf values give -inf: the move is rejected.
     """
     log_ratio = log_quotient(log_num_prop, log_num_curr) + log_q_ratio
     # u < 1, so a ratio at or above 1 always accepts; the clip keeps exp finite
     return log_ratio, u < np.exp(np.minimum(log_ratio, 0.0))
+
+
+def mh_move(curr, prop, symmetric, u):
+    """One MH move from ``curr`` towards ``prop``: returns (next state, log_ratio, accepted).
+
+    q is symmetric (it cancels) or the prior independence proposal, whose ratio
+    q(prop -> curr) / q(curr -> prop) is the prior ratio, read off the cached
+    log priors.  ``u`` is drawn by the caller.  A proposal outside the prior's
+    support has log_num -inf and is rejected.
+    """
+    log_q_ratio = 0.0 if symmetric else curr.log_prior - prop.log_prior
+    log_ratio, accepted = mh_step(prop.log_num, curr.log_num, log_q_ratio, u)
+    return curr.where(accepted, prop), log_ratio, accepted

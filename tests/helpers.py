@@ -72,3 +72,21 @@ class NanBundleModel(NormalMeanModel):
         bundles[(index % 10 == 9) & (index >= self.clean_bundles)] = np.nan
         self.n_bundles += bundles.shape[0]
         return out
+
+
+def _snapshot(rec):
+    """Copies of every array a ``MoveRecord`` holds."""
+    return [np.copy(a) for a in (rec.prop.theta, rec.prop.bundle, rec.prop.log_prior,
+                                 rec.prop.log_pooled, rec.curr.theta, rec.curr.bundle,
+                                 rec.curr.log_prior, rec.curr.log_pooled, rec.log_ratio,
+                                 rec.u, rec.accepted)]
+
+
+def assert_records_never_mutated(run):
+    """``run(callback)`` hands out records; each must hold at the end what it held then."""
+    records, snapshots = [], []
+    run(lambda rec: (records.append(rec), snapshots.append(_snapshot(rec))))
+    assert records
+    for rec, snap in zip(records, snapshots):
+        for now, then in zip(_snapshot(rec), snap):
+            assert np.array_equal(now, then, equal_nan=True)

@@ -85,6 +85,7 @@ def test_validate_config_ok_and_bad(tmp_path, capsys):
     assert run_cli(["validate-config", "--config", str(missing)]) == cli.EXIT_CONFIG
     # configs that a run command or an experiment rejects must not validate either
     for i, text in enumerate(["[kernel]\ndistance = weighted-euclidean\n",
+                              "[kernel]\ndistance = weighted-euclidean\ndistance_weights = 1, 1\n",
                               "[smc]\nsteps = 1\nh_end = -1\n",
                               "[smc]\nh_start = inf\n",
                               "[model]\ntau = nan\n",

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from lfs.config import RunConfig
 from lfs.diagnostics import weighted_moments
@@ -9,7 +10,7 @@ from lfs.experiments import (EXPERIMENTS, cross_sampler_table,
                              dual_bookkeeping_mcmc, dual_bookkeeping_smc,
                              experiment_s_invariance)
 from lfs.kernels import SmoothingKernel
-from lfs.mcmc import ProposalSpec
+from lfs.mcmc import PROPOSAL_KINDS, ProposalSpec
 from lfs.models import NormalMeanModel
 from lfs.output import jsonable
 from lfs.smc import BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule, run_smc
@@ -43,6 +44,17 @@ def test_dual_bookkeeping_small_runs_are_exact():
     smc_rep = dual_bookkeeping_smc(cfg)
     assert smc_rep["max_discrepancy"] == 0.0
     assert smc_rep["moves_checked"] == 120 * 5
+
+
+@pytest.mark.parametrize("kind", PROPOSAL_KINDS)
+def test_dual_bookkeeping_mcmc_matches_production_for_each_proposal(kind):
+    # production reads the prior proposal's q ratio off the cached log priors;
+    # the check recomputes it from theta through ProposalSpec.log_q_ratio
+    cfg = small_config()
+    cfg.mcmc.proposal = kind
+    report = dual_bookkeeping_mcmc(cfg)
+    assert report["max_discrepancy"] == 0.0
+    assert report["max_mismatch_with_production"] == 0.0
 
 
 def test_s_invariance_report_round_trips():

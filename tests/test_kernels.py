@@ -126,6 +126,20 @@ def test_weighted_euclidean_distance():
         SummaryDistance("euclidean", weights=[1.0])
 
 
+def test_weighted_euclidean_needs_one_weight_per_summary_dimension():
+    # two weights on 1-D summaries would scale every distance by sqrt(2)
+    d = SummaryDistance("weighted-euclidean", weights=[1.0, 1.0])
+    for u in (0.5, np.array([0.5]), np.zeros((3, 4, 1)), np.zeros((2, 3))):
+        with pytest.raises(ConfigurationError, match="2 distance weights"):
+            d.of_difference(u)
+    k = SmoothingKernel("gaussian", 1.0, d)
+    with pytest.raises(ConfigurationError):
+        k.log_pooled(0.0, np.zeros((5, 1)))
+    # on summaries of dimension 2 the same weights are the plain euclidean distance
+    assert (k.log_pooled(np.zeros(2), np.full((5, 2), 0.3))
+            == SmoothingKernel("gaussian", 1.0).log_pooled(np.zeros(2), np.full((5, 2), 0.3)))
+
+
 def test_kernel_uses_distance():
     k = SmoothingKernel("uniform", 1.0, SummaryDistance("weighted-euclidean", [4.0]))
     # weighted distance of u=0.6 is 1.2 > h: outside support

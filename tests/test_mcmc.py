@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import ConstantKernel, CountingModel, NanBundleModel
+from helpers import (ConstantKernel, CountingModel, NanBundleModel,
+                     assert_records_never_mutated)
 from lfs.diagnostics import batch_means_se, ks_critical_value, ks_statistic
 from lfs.errors import BudgetExhaustedError, ConfigurationError, DomainError
 from lfs.kernels import SmoothingKernel
@@ -191,20 +192,44 @@ def test_non_finite_simulator_output_at_initialization_names_iteration_zero():
     assert "(seed 7, substream ('mcmc', 'chain', 0), iteration 0)" in str(err.value)
 
 
+@pytest.mark.parametrize("kind", PROPOSAL_KINDS)
 @pytest.mark.parametrize("variant", MCMC_VARIANTS)
-def test_prior_evaluated_once_per_iteration(variant):
-    # the support check's value is the proposal's log prior, and the fresh
-    # re-estimate reuses the current state's cached one: one call per iteration
-    # for a whole batch, plus one per chain and one for the batch at initialization
+def test_prior_evaluated_once_per_iteration(variant, kind):
+    # the support check's value is the proposal's log prior, the fresh re-estimate
+    # reuses the current state's cached one, and the prior proposal's q ratio is
+    # the ratio of the cached ones: one call per iteration for a whole batch, plus
+    # one per chain and one for the batch at initialization
     kernel = SmoothingKernel("gaussian", 1.0)
     n_iter = 1000
     lone = CountingModel(NormalMeanModel())
-    run_mcmc(lone, kernel, 0.0, 2, variant, ProposalSpec(step_sd=1.0), n_iter, 0, seed=3)
+    run_mcmc(lone, kernel, 0.0, 2, variant, ProposalSpec(kind, 1.0), n_iter, 0, seed=3)
     assert lone.n_prior_calls <= n_iter + 2
     batched = CountingModel(NormalMeanModel())
-    run_chains(batched, kernel, 0.0, 2, variant, ProposalSpec(step_sd=1.0), n_iter, 0,
+    run_chains(batched, kernel, 0.0, 2, variant, ProposalSpec(kind, 1.0), n_iter, 0,
                [(3, k) for k in range(4)])
     assert batched.n_prior_calls <= n_iter + 4 + 1
+
+
+@pytest.mark.parametrize("variant", MCMC_VARIANTS)
+def test_batch_records_are_never_mutated(variant):
+    # random-walk steps on bernoulli-count leave [0, 1] in some rows; with the
+    # flat kernel every live row accepts, so the batches see masks that accept
+    # every row, no row and some rows
+    model = make_model("bernoulli-count")
+    masks = set()
+
+    def run(callback):
+        def both(rec):
+            n = int(np.count_nonzero(rec.accepted))
+            masks.add("none" if n == 0 else "all" if n == rec.accepted.size else "some")
+            callback(rec)
+        for h, step in ((0.5, 0.3), (100.0, 0.05)):
+            run_chains(model, SmoothingKernel("uniform", h), 7.0, 3, variant,
+                       ProposalSpec("random-walk", step), 300, 0, [(61, k) for k in range(10)],
+                       on_iteration=both)
+
+    assert_records_never_mutated(run)
+    assert masks == {"none", "all", "some"}
 
 
 def _target(name):

@@ -478,15 +478,15 @@ def test_public_names_resolve_and_test_only_names_are_gone():
             (lfs.Model, "hyperparameters"), (lfs.NormalMeanModel, "hyperparameters"),
             (lfs.BernoulliCountModel, "hyperparameters"), (lfs.diagnostics, "ks_2sample"),
             (lfs.output, "format_float"), (lfs.models, "_norm_pdf"), (lfs.models, "_beta_pdf"),
-            (lfs.target, "marginal_logestimate")]
+            (lfs.target, "marginal_logestimate"), (lfs.smc, "ParticleSystem")]
     # an oracle is only its cdf
     oracle = lfs.NormalMeanModel().oracle(0.0, lfs.SmoothingKernel("gaussian", 1.0))
     gone += [(oracle, name) for name in ("posterior_density", "posterior_mean",
                                          "posterior_variance")]
     assert "incremental_weight_joint" not in lfs.__all__
     # used inside the library and by its tests only: importable from their own module
-    internal = {lfs.target: ("AugmentedState", "joint_logdensity_unnorm", "mh_step"),
-                lfs.smc: ("ParticleSystem", "ess", "incremental_weight_backward",
+    internal = {lfs.target: ("AugmentedState", "joint_logdensity_unnorm", "mh_step", "mh_move"),
+                lfs.smc: ("ess", "incremental_weight_backward",
                           "incremental_weight_joint_general")}
     for module, names in internal.items():
         for name in names:

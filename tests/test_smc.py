@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lfs
-from helpers import CountingModel, NanBundleModel
+from helpers import CountingModel, NanBundleModel, assert_records_never_mutated
 from lfs.diagnostics import ks_2sample_permutation, weighted_moments
 from lfs.errors import ConfigurationError, DomainError, ParticleCollapseError
 from lfs.kernels import SmoothingKernel
@@ -21,7 +21,7 @@ from lfs.smc import (BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule,
                      apply_particle_rejection, check_arguments, ess,
                      incremental_weight_backward, incremental_weight_joint_general, mixture_logdensity,
                      normalize_log_weights, run_smc, systematic_indices)
-from lfs.target import joint_logdensity_unnorm, log_quotient, mh_step
+from lfs.target import AugmentedState, joint_logdensity_unnorm, log_quotient, mh_step
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -501,25 +501,56 @@ def test_backward_with_threshold_still_targets(model, kernel):
 
 
 def test_particle_system_views_and_resample(model, kernel):
-    from lfs.smc import ParticleSystem
-
     rng = substream(20, "sys")
     thetas = model.prior_sample(rng, (6,))
     bundles = model.simulate(thetas, 2, rng)
-    log_pooled = np.asarray(kernel.log_pooled(0.0, bundles))
-    log_prior = model.prior_logdensity(thetas)
-    log_w = np.log(np.array([0.4, 0.3, 0.1, 0.1, 0.05, 0.05]))
-    system = ParticleSystem(thetas, bundles, log_w, log_pooled, log_prior, k=1)
+    state = AugmentedState(thetas, bundles, model.prior_logdensity(thetas),
+                           kernel.log_pooled(0.0, bundles))
     # the cached values are the target's log_num of each particle
-    assert system.log_pooled[2] + system.log_prior[2] == pytest.approx(
-        joint_logdensity_unnorm(system.thetas[2], system.bundles[2], 0.0, kernel, model))
-    assert 1.0 <= ess(system.normalized_weights()) <= 6.0
-    system.resample(systematic_indices(system.normalized_weights(), substream(21, "sys")))
-    assert system.log_weights.shape == (6,)
-    assert np.allclose(system.normalized_weights(), 1.0 / 6.0)
-    # offspring carry their donors' cached values
-    recomputed = np.asarray(kernel.log_pooled(0.0, system.bundles))
-    assert np.allclose(system.log_pooled, recomputed)
+    for i in range(6):
+        assert state.log_num[i] == joint_logdensity_unnorm(state.theta[i], state.bundle[i],
+                                                           0.0, kernel, model)
+    weights = np.array([0.4, 0.3, 0.1, 0.1, 0.05, 0.05])
+    assert 1.0 <= ess(weights) <= 6.0
+    idx = systematic_indices(weights, substream(21, "sys"))
+    offspring = state.take(idx)
+    assert offspring.theta.shape == (6, 1) and offspring.bundle.shape == (6, 2, 1)
+    assert len(set(idx)) < 6
+    # offspring carry their donors' cached values, which match their own bundles
+    for child, donor in enumerate(idx):
+        assert offspring.log_prior[child] == state.log_prior[donor]
+        assert offspring.log_pooled[child] == state.log_pooled[donor]
+    assert np.array_equal(offspring.log_pooled, kernel.log_pooled(0.0, offspring.bundle))
+    assert np.array_equal(offspring.log_prior, model.prior_logdensity(offspring.theta))
+
+
+def test_weights_are_uniform_after_each_resample(model, kernel):
+    # a joint-move step keeps the resampled weights: the step's ESS is N
+    schedule = BandwidthSchedule.geometric(2.0, 0.25, 8)
+    out = run_smc(model, kernel, schedule, 2, 300, JOINT_MCMC_MOVE, ProposalSpec(),
+                  seed=19, t_y=0.0, ess_threshold=0.9)
+    assert out.resampled_steps.size >= 3
+    for k in out.resampled_steps:
+        assert out.ess_trace[k - 1] == pytest.approx(300.0, rel=1e-12)
+
+
+def test_joint_move_prior_mutation_evaluates_the_prior_once_per_step():
+    # the prior mutation's q ratio is the ratio of the cached log priors: one call
+    # at initialization and one support check per later step
+    counting = CountingModel(NormalMeanModel())
+    schedule = BandwidthSchedule.geometric(2.0, 0.5, 5)
+    run_smc(counting, SmoothingKernel("gaussian", 1.0), schedule, 2, 200, JOINT_MCMC_MOVE,
+            ProposalSpec("prior"), seed=23, t_y=0.0)
+    assert counting.n_prior_calls == 5
+
+
+def test_joint_move_records_are_never_mutated():
+    # bernoulli-count with the random walk: every step has particles outside [0, 1]
+    model = BernoulliCountModel()
+    schedule = BandwidthSchedule.geometric(2.0, 0.3, 6)
+    assert_records_never_mutated(lambda callback: run_smc(
+        model, SmoothingKernel("gaussian", 1.0), schedule, 2, 200, JOINT_MCMC_MOVE,
+        ProposalSpec(), seed=37, t_y=7.0, on_mutation=callback))
 
 
 def test_run_validation(model, kernel):

@@ -58,8 +58,8 @@ def test_marginal_estimate_consistency_exact(model):
 def test_augmented_state_carries_cached_value(model):
     kernel = SmoothingKernel("gaussian", 1.0)
     bundle = simulate_checked(model, np.array([0.2]), 3, substream(4, "t"))
-    val = joint_logdensity_unnorm(np.array([0.2]), bundle, 0.0, kernel, model)
-    state = AugmentedState(np.array([0.2]), bundle, val)
+    state = AugmentedState(np.array([0.2]), bundle, model.prior_logdensity(np.array([0.2])),
+                           kernel.log_pooled(0.0, bundle))
     assert state.log_num == joint_logdensity_unnorm(state.theta, state.bundle,
                                                     0.0, kernel, model)
 
