@@ -53,12 +53,12 @@ class SummaryDistance:
         u = np.asarray(u, dtype=float)
         if u.ndim == 0:
             u = u[np.newaxis]
-        if self.weights is None:
-            return np.sqrt(np.sum(u * u, axis=-1))
-        if self.weights.shape[0] != u.shape[-1]:
+        if self.weights is not None and self.weights.shape[0] != u.shape[-1]:
             raise ConfigurationError(f"{self.weights.shape[0]} distance weights given for "
                                      f"summaries of dimension {u.shape[-1]}")
-        return np.sqrt(np.sum(self.weights * u * u, axis=-1))
+        sq = u * u if self.weights is None else self.weights * u * u
+        # np.sum without its wrapper; a sum of one (nonnegative) term is that term
+        return np.sqrt(sq[..., 0] if sq.shape[-1] == 1 else np.add.reduce(sq, axis=-1))
 
 
 class SmoothingKernel:
@@ -110,17 +110,17 @@ class SmoothingKernel:
         if self.kind == "epanechnikov":
             c = 1.0 if relative else 0.75 / h
             return np.where(d <= 1.0, c * np.maximum(1.0 - d * d, 0.0), 0.0)
-        return np.exp(-0.5 * d * d) / (1.0 if relative else h * math.sqrt(2.0 * math.pi))
+        g = np.exp(-0.5 * d * d)
+        return g if relative else g / (h * math.sqrt(2.0 * math.pi))
 
     def _log_profile(self, d):
         h = self.bandwidth
         if self.kind == "uniform":
             return np.where(d <= 1.0, -math.log(2.0 * h), -np.inf)
         if self.kind == "epanechnikov":
-            inside = d < 1.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 body = math.log(0.75 / h) + np.log1p(-(d * d))
-            return np.where(inside, body, -np.inf)
+            return np.where(d < 1.0, body, -np.inf)
         return -0.5 * d * d - math.log(h) - _LOG_SQRT_2PI
 
     # -- pooled kernel over a bundle ------------------------------------------
@@ -132,14 +132,14 @@ class SmoothingKernel:
         outside a compact kernel's support.  At S = 1 this is the log profile.
         """
         d = self._bundle_distances(t_y, bundle)
-        if d.shape[-1] == 1:
-            return self._log_profile(d)[..., 0]
-        # the mean kernel over its peak: exactly k/S (uniform), 0 or above 1e-16 / S
-        # (epanechnikov); rows where a gaussian one underflows take a log-sum-exp
+        if d.shape[-1] == 1:  # indexed first: a lone bundle's log profile is scalar math
+            return self._log_profile(d[..., 0])
+        # the mean kernel over its peak (np.mean without its wrapper): exactly k/S
+        # (uniform), 0 or above 1e-16 / S (epanechnikov); gaussian underflow: log-sum-exp
         with np.errstate(divide="ignore"):
-            rel = np.log(np.mean(self._profile(d, relative=True), axis=-1))
+            rel = np.log(np.add.reduce(self._profile(d, relative=True), axis=-1) / d.shape[-1])
         out = np.asarray(rel + self._log_profile(0.0))
-        if self.kind == "gaussian" and np.min(rel) < _LOG_TINY:
+        if self.kind == "gaussian" and np.minimum.reduce(rel, axis=None) < _LOG_TINY:
             low = rel < _LOG_TINY
             logs = self._log_profile(d[low])
             out[low] = np.logaddexp.reduce(logs, axis=-1) - math.log(d.shape[-1])
@@ -147,15 +147,11 @@ class SmoothingKernel:
 
     def _bundle_distances(self, t_y, bundle):
         bundle = np.asarray(bundle, dtype=float)
-        if bundle.ndim == 0:
-            bundle = bundle.reshape(1, 1)
-        elif bundle.ndim == 1:
-            # a 1-D array is a bundle of S scalar summaries
-            bundle = bundle[:, np.newaxis]
+        if bundle.ndim < 2:  # a scalar or a 1-D array is a bundle of scalar summaries
+            bundle = bundle.reshape(-1, 1)
         if bundle.shape[-2] < 1:
             raise ConfigurationError("bundle must contain at least one summary (S >= 1)")
-        t_y = np.atleast_1d(np.asarray(t_y, dtype=float))
-        return self.distance.of_difference(t_y - bundle) / self.bandwidth
+        return self.distance.of_difference(np.asarray(t_y, dtype=float) - bundle) / self.bandwidth
 
     def __repr__(self):
         return f"SmoothingKernel({self.kind!r}, h={self.bandwidth})"

@@ -155,7 +155,7 @@ def _simulate_rows(model, thetas, S, rngs, streams, iteration, live, fill):
     bundles = [model.simulate(thetas[k], S, rngs[k]) for k in rows]
     expected = (S, model.summary_dim)
     batch = np.array(bundles) if all(np.shape(b) == expected for b in bundles) else None
-    if batch is None or not np.isfinite(batch).all():
+    if batch is None or np.count_nonzero(np.isfinite(batch)) < batch.size:
         for k, bundle in zip(rows, bundles):
             _check_bundle(model, bundle, expected, streams[k], iteration)
     if rows.size == len(thetas):
@@ -216,8 +216,8 @@ def run_chains(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, chains
                                         state.bundle)
                 state = AugmentedState(state.theta, bundle, state.log_prior,
                                        kernel.log_pooled(t_y, bundle))
-            u = (draw.uniform() if C == 1 else
-                 np.array([rng.uniform() if ok else 1.0 for rng, ok in zip(rngs, live)]))
+            u = (draw.random() if C == 1 else  # uniform()'s draw, without its 0 + 1 * x
+                 np.array([rng.random() if ok else 1.0 for rng, ok in zip(rngs, live)]))
             curr = state
             state, log_ratio, accepted = mh_move(curr, prop, symmetric, u)
             if on_iteration is not None:

@@ -37,20 +37,16 @@ _NORM_C = np.sqrt(2 * np.pi)
 _NORM_LOG_C = np.log(_NORM_C)
 
 
-def _norm_z(x, loc, scale):
-    return (np.asarray(x, dtype=float) - loc) / scale
-
-
 def _norm_logpdf(x, loc=0.0, scale=1.0):
     """``stats.norm.logpdf(x, loc, scale)``, bit for bit."""
-    z = _norm_z(x, loc, scale)
+    z = (np.asarray(x, dtype=float) - loc) / scale
     return (-z**2 / 2.0 - _NORM_LOG_C) - np.log(scale)
 
 
 def _norm_cdf(x, loc=0.0, scale=1.0):
     """``stats.norm.cdf(x, loc, scale)``, bit for bit."""
     from scipy.special import ndtr
-    return ndtr(_norm_z(x, loc, scale))
+    return ndtr((np.asarray(x, dtype=float) - loc) / scale)
 
 
 @dataclass(frozen=True)
@@ -129,15 +125,15 @@ class NormalMeanModel(Model):
         th = _as_theta(theta, self.param_dim)[..., 0]
         z = (th - self.prior_mean) / self._prior_sd
         body = -0.5 * z * z - math.log(self._prior_sd) - _LOG_SQRT_2PI
-        # an infinite theta already gives -inf; fmax maps a NaN theta's NaN to -inf
-        return np.fmax(body, -np.inf)
+        # an infinite theta gives -inf; fmax (on one theta, max) turns a NaN theta's NaN to -inf
+        return np.fmax(body, -np.inf) if isinstance(body, np.ndarray) else max(-np.inf, body)
 
     def prior_sd(self):
         return np.array([self._prior_sd])
 
     def simulate(self, theta, n, rng):
         th = _as_theta(theta, self.param_dim)
-        if not np.isfinite(th).all():
+        if np.count_nonzero(np.isfinite(th)) < th.size:
             raise DomainError("non-finite theta is outside the prior's support")
         return th[..., np.newaxis, :] + self.tau * rng.standard_normal((*th.shape[:-1], n, 1))
 
@@ -221,7 +217,7 @@ class BernoulliCountModel(Model):
 
     def simulate(self, theta, n, rng):
         th = _as_theta(theta, self.param_dim)
-        if not ((th >= 0.0) & (th <= 1.0)).all():
+        if np.count_nonzero((th >= 0.0) & (th <= 1.0)) < th.size:
             raise DomainError("theta outside [0, 1]")
         return rng.binomial(self.trials, th[..., np.newaxis, :],
                             size=(*th.shape[:-1], n, 1)).astype(float)

@@ -194,10 +194,14 @@ def incremental_weight_backward(new_thetas, log_num_new, prev_thetas, prev_log_w
     ``log_num_new`` (M,) holds the fresh marginal estimates at new_thetas
     (M, param_dim).  The denominator is the mutation mixture over the previous
     population with normalized log weights — no simulator call and no estimate
-    of the previous step's marginal is involved.
+    of the previous step's marginal is involved.  It is evaluated only where the
+    estimate is nonzero: elsewhere the weight is -inf whatever the mixture is.
     """
-    log_mix = mixture_logdensity(prev_thetas, prev_log_weights, new_thetas, mutation, model)
-    if np.any((log_mix == -np.inf) & (log_num_new > -np.inf)):
+    live = log_num_new > -np.inf
+    log_mix = np.full(live.shape, -np.inf)
+    log_mix[live] = mixture_logdensity(prev_thetas, prev_log_weights, new_thetas[live],
+                                       mutation, model)
+    if np.any(log_mix[live] == -np.inf):
         raise ParticleCollapseError("mutation mixture vanished: every previous weight is zero")
     return log_quotient(log_num_new, log_mix)
 

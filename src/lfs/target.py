@@ -119,7 +119,7 @@ def _check_bundle(model, bundle, expected, stream, iteration):
                           f"{np.shape(bundle)}, expected {expected}"
                           f"{_origin(stream, iteration)}")
     finite = np.isfinite(bundle)
-    if not finite.all():
+    if np.count_nonzero(finite) < finite.size:  # finite.all(), without its method wrapper
         n_bad = int(np.count_nonzero(~finite.all(axis=-1)))
         raise DomainError(f"model {model.name!r} simulated {n_bad} non-finite "
                           f"summaries out of {bundle.size // expected[-1]}"
@@ -145,7 +145,9 @@ def joint_logdensity_unnorm(theta, bundle, t_y, kernel, model):
 def log_quotient(log_num, log_den):
     """log(num / den) from the two logs, vectorized; two -inf values give -inf."""
     both_dead = (log_num == -np.inf) & (log_den == -np.inf)
-    return log_num - np.where(both_dead, 0.0, log_den)
+    if isinstance(both_dead, np.ndarray):
+        return log_num - np.where(both_dead, 0.0, log_den)
+    return log_num - (0.0 if both_dead else log_den)  # scalars: np.where costs the most
 
 
 def mh_step(log_num_prop, log_num_curr, log_q_ratio, u):
@@ -157,8 +159,10 @@ def mh_step(log_num_prop, log_num_curr, log_q_ratio, u):
     -inf values give -inf: the move is rejected.
     """
     log_ratio = log_quotient(log_num_prop, log_num_curr) + log_q_ratio
-    # u < 1, so a ratio at or above 1 always accepts; the clip keeps exp finite
-    return log_ratio, u < np.exp(np.minimum(log_ratio, 0.0))
+    # u < 1, so a ratio >= 1 always accepts; the clip keeps exp finite (min is a cheaper
+    # np.minimum on scalars, a NaN included)
+    clip = np.minimum if isinstance(log_ratio, np.ndarray) else min
+    return log_ratio, u < np.exp(clip(log_ratio, 0.0))
 
 
 def mh_move(curr, prop, symmetric, u):

@@ -229,3 +229,127 @@ def test_log_pooled_of_one_summary_is_its_log_profile(case):
     assert np.array_equal(np.isneginf(got), np.isneginf(ref))
     live = ~np.isneginf(ref)
     np.testing.assert_allclose(got[live], ref[live], rtol=1e-12, atol=1e-12)
+
+
+# -- the trimmed per-call paths, bit for bit against the earlier compositions --
+#
+# SummaryDistance.of_difference, SmoothingKernel._profile, log_pooled and
+# _bundle_distances once reduced with np.sum, np.mean and np.min and divided
+# the relative gaussian profile by 1.0.  The functions below are that code,
+# kept as the reference the trimmed paths must match byte for byte.
+
+def _ref_of_difference(distance, u):
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 0:
+        u = u[np.newaxis]
+    if distance.weights is None:
+        return np.sqrt(np.sum(u * u, axis=-1))
+    return np.sqrt(np.sum(distance.weights * u * u, axis=-1))
+
+
+def _ref_profile(kernel, d, relative=False):
+    h = kernel.bandwidth
+    if kernel.kind == "uniform":
+        return np.where(d <= 1.0, 1.0 if relative else 0.5 / h, 0.0)
+    if kernel.kind == "epanechnikov":
+        c = 1.0 if relative else 0.75 / h
+        return np.where(d <= 1.0, c * np.maximum(1.0 - d * d, 0.0), 0.0)
+    return np.exp(-0.5 * d * d) / (1.0 if relative else h * math.sqrt(2.0 * math.pi))
+
+
+def _ref_log_profile(kernel, d):
+    h = kernel.bandwidth
+    if kernel.kind == "uniform":
+        return np.where(d <= 1.0, -math.log(2.0 * h), -np.inf)
+    if kernel.kind == "epanechnikov":
+        inside = d < 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            body = math.log(0.75 / h) + np.log1p(-(d * d))
+        return np.where(inside, body, -np.inf)
+    return -0.5 * d * d - math.log(h) - 0.5 * math.log(2.0 * math.pi)
+
+
+def _ref_log_pooled(kernel, t_y, bundle):
+    bundle = np.asarray(bundle, dtype=float)
+    if bundle.ndim == 0:
+        bundle = bundle.reshape(1, 1)
+    elif bundle.ndim == 1:
+        bundle = bundle[:, np.newaxis]
+    t_y = np.atleast_1d(np.asarray(t_y, dtype=float))
+    d = _ref_of_difference(kernel.distance, t_y - bundle) / kernel.bandwidth
+    if d.shape[-1] == 1:
+        return _ref_log_profile(kernel, d)[..., 0]
+    with np.errstate(divide="ignore"):
+        rel = np.log(np.mean(_ref_profile(kernel, d, relative=True), axis=-1))
+    out = np.asarray(rel + _ref_log_profile(kernel, 0.0))
+    if kernel.kind == "gaussian" and np.min(rel) < -650.0:
+        low = rel < -650.0
+        logs = _ref_log_profile(kernel, d[low])
+        out[low] = np.logaddexp.reduce(logs, axis=-1) - math.log(d.shape[-1])
+    return out
+
+
+def _same_bytes(got, ref):
+    """Equal shape, dtype and bytes: -0.0 against 0.0 or two NaN payloads differ."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
+    assert got.tobytes() == ref.tobytes()
+
+
+# differences of ordinary size, far (gaussian rows whose linear mean underflows
+# and take the _LOG_TINY fallback), subnormal (u * u underflows to 0) and near
+# 1e200 (u * u overflows to inf)
+_SCALES = (1.0, 40.0, 1e-310, 1e200)
+
+
+@st.composite
+def _trim_case(draw):
+    kind = draw(st.sampled_from(KERNEL_KINDS))
+    h = draw(st.floats(0.05, 5.0))
+    S = draw(st.sampled_from([1, 2, 100]))
+    dim = draw(st.integers(1, 2))
+    weights = draw(st.none() | hnp.arrays(float, (dim,), elements=st.floats(0.1, 10.0)))
+    distance = (SummaryDistance() if weights is None
+                else SummaryDistance("weighted-euclidean", weights))
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # each row's summaries at one of the scales, so far rows sit beside near ones
+    scale = rng.choice(_SCALES, size=(*lead, 1, 1))
+    bundle = rng.normal(size=(*lead, S, dim)) * scale
+    # t_y = 0 keeps a subnormal or huge summary's difference as it is; a scalar
+    # t_y is the 1-D summaries' observed value as the samplers pass it
+    t_y = draw(st.sampled_from(["zero", "random", "scalar"]))
+    t_y = (np.zeros(dim) if t_y == "zero" or (t_y == "scalar" and dim > 1)
+           else rng.normal(size=dim) if t_y == "random" else float(rng.normal()))
+    return SmoothingKernel(kind, h, distance), t_y, bundle
+
+
+@_PROPERTY_SETTINGS
+@given(_trim_case())
+@example((SmoothingKernel("gaussian", 0.05), np.zeros(1),
+          np.array([[[9.0], [9.0], [-9.0]], [[0.1], [9.0], [9.0]], [[2.0], [-3.0], [9.0]]])))
+@example((SmoothingKernel("epanechnikov", 1.0, SummaryDistance("weighted-euclidean", [2.0])),
+          np.zeros(1), np.array([[5e-324], [-1e200], [0.5], [-0.0]])))
+def test_trimmed_log_pooled_is_the_earlier_composition_bit_for_bit(case):
+    kernel, t_y, bundle = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        _same_bytes(kernel.log_pooled(t_y, bundle), _ref_log_pooled(kernel, t_y, bundle))
+        u = np.asarray(t_y, dtype=float) - bundle
+        d = _ref_of_difference(kernel.distance, u)
+        _same_bytes(kernel.distance.of_difference(u), d)
+        _same_bytes(kernel._bundle_distances(t_y, bundle), d / kernel.bandwidth)
+        for relative in (False, True):
+            _same_bytes(kernel._profile(d, relative), _ref_profile(kernel, d, relative))
+        _same_bytes(kernel.evaluate(u), _ref_profile(kernel, d / kernel.bandwidth))
+
+
+def test_trimmed_paths_take_scalars_and_one_dimensional_bundles():
+    for kind in KERNEL_KINDS:
+        for distance in (SummaryDistance(), SummaryDistance("weighted-euclidean", [3.0])):
+            kernel = SmoothingKernel(kind, 0.7, distance)
+            with np.errstate(over="ignore"):
+                for u in (0.4, -0.0, 5e-324, 1e200):
+                    _same_bytes(distance.of_difference(u), _ref_of_difference(distance, u))
+                for bundle in (0.3, np.array([0.3, -0.2, 1e-320]), np.array([[0.2]])):
+                    _same_bytes(kernel.log_pooled(0.1, bundle),
+                                _ref_log_pooled(kernel, 0.1, bundle))

@@ -12,6 +12,7 @@ from lfs.kernels import SmoothingKernel
 from lfs.mcmc import (CARRIED_BUNDLE, FRESH_DENOMINATOR, MCMC_VARIANTS, PROPOSAL_KINDS,
                       ProposalSpec, run_chains, run_mcmc)
 from lfs.models import NormalMeanModel, make_model
+from lfs.rng import substream
 from lfs.target import mh_step
 
 
@@ -70,6 +71,15 @@ def test_ratio_double_neginf_rejects(model):
                        u=0.0)
     assert r == -np.inf
     assert not accept
+
+
+def test_chains_uniform_draw_is_uniform_bit_for_bit():
+    # each chain draws its MH uniform with Generator.random(), which is uniform()
+    # without its 0 + 1 * x: the same doubles from the same stream position
+    a, b = substream(5, "mcmc", "chain", 0), substream(5, "mcmc", "chain", 0)
+    for _ in range(2000):
+        assert a.random() == b.uniform()
+        assert a.standard_normal() == b.standard_normal()
 
 
 def test_stationarity_at_s1(model, kernel):

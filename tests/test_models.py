@@ -114,6 +114,21 @@ def test_non_finite_theta_has_zero_prior_density(normal_mean, bernoulli):
         assert np.all(lp[1:] == -np.inf)
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e300, -1e300, 1e160])
+       | st.floats(-50.0, 50.0))
+def test_one_thetas_prior_is_the_batch_composition_bit_for_bit(theta):
+    # one theta's log prior is a numpy scalar, mapped from NaN to -inf by max in
+    # place of np.fmax; it must be row 0 of the batch of one, which keeps np.fmax
+    model = NormalMeanModel(0.3, 1.7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lone = model.prior_logdensity(np.array([theta]))
+        batch = model.prior_logdensity(np.array([[theta]]))
+        z = (np.array(theta) - 0.3) / 1.7  # the composition before the scalar path
+        ref = np.fmax(-0.5 * z * z - math.log(1.7) - 0.5 * math.log(2.0 * math.pi), -np.inf)
+    assert np.asarray(lone).tobytes() == batch[0].tobytes() == np.asarray(ref).tobytes()
+
+
 def test_theta_without_parameter_axis_raises(normal_mean, bernoulli):
     rng = substream(21, "test")
     for model in (normal_mean, bernoulli):
@@ -151,6 +166,11 @@ def test_simulate_outside_support_raises(bernoulli, normal_mean):
         bernoulli.simulate([1.5], 3, rng)
     with pytest.raises(DomainError):
         normal_mean.simulate([np.inf], 3, rng)
+    # one bad row in a batch, NaN included, fails the whole call
+    for model, bad in ((bernoulli, -1e-300), (bernoulli, np.nan), (normal_mean, -np.inf),
+                       (normal_mean, np.nan)):
+        with pytest.raises(DomainError):
+            model.simulate(np.array([[0.5], [bad], [0.25]]), 3, rng)
 
 
 def test_bundle_independence_lag1(normal_mean):

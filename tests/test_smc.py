@@ -207,6 +207,32 @@ def test_backward_weight_vectorized_over_new_particles(model):
     assert w[1] == -np.inf
 
 
+@pytest.mark.parametrize("kind", ["random-walk", "prior"])
+@pytest.mark.parametrize("S", [1, 5])
+def test_backward_weights_skip_dead_rows_bit_for_bit(S, kind):
+    # bernoulli-count under a narrow uniform kernel, as in run_smc's proposal stage:
+    # many new particles leave [0, 1] or miss with every summary, so their log_num
+    # is -inf and the mixture is evaluated at the others only.  Every weight must be
+    # what the mixture over all new particles gives, across several work blocks
+    model, kernel = BernoulliCountModel(), SmoothingKernel("uniform", 0.5)
+    mutation = ProposalSpec(kind, 0.3)
+    rng = substream(11, "dead-rows", S, kind)
+    prev = model.prior_sample(rng, (600,))
+    w = rng.random(600) * (rng.random(600) > 0.2)  # some previous weights are zero
+    with np.errstate(divide="ignore"):
+        prev_logw = np.log(w / w.sum())
+    new = mutation.sample(prev, model, rng)
+    log_prior = model.prior_logdensity(new)
+    live = log_prior > -np.inf
+    bundles = np.zeros((600, S, 1))
+    bundles[live] = model.simulate(new[live], S, rng)
+    log_num = kernel.log_pooled(7.0, bundles) + log_prior
+    got = incremental_weight_backward(new, log_num, prev, prev_logw, mutation, model)
+    ref = log_quotient(log_num, mixture_logdensity(prev, prev_logw, new, mutation, model))
+    assert got.tobytes() == ref.tobytes()
+    assert 0 < np.count_nonzero(np.isneginf(log_num)) < log_num.size
+
+
 def test_backward_weight_neginf_numerator(model):
     mutation = ProposalSpec("random-walk", 0.5)
     w = incremental_weight_backward(np.array([[0.0]]), np.array([-np.inf]),

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from lfs.errors import DomainError
 from lfs.kernels import SmoothingKernel
 from lfs.models import BernoulliCountModel, NormalMeanModel
 from lfs.rng import substream
-from lfs.target import AugmentedState, joint_logdensity_unnorm, simulate_checked
+from lfs.target import (AugmentedState, joint_logdensity_unnorm, log_quotient, mh_step,
+                        simulate_checked)
 
 
 @pytest.fixture
@@ -177,3 +180,38 @@ def test_simulate_checked_counts_non_finite_summaries():
     out[0, 0] = -np.inf
     with pytest.raises(DomainError, match="1 non-finite summaries out of 3"):
         simulate_checked(_ShapeModel(out), np.zeros(1), 3, substream(1, "t"))
+
+
+# -- the scalar paths of log_quotient and mh_step, against the array composition --
+
+def _ref_log_quotient(log_num, log_den):
+    both_dead = (log_num == -np.inf) & (log_den == -np.inf)
+    return log_num - np.where(both_dead, 0.0, log_den)
+
+
+def _ref_mh_step(log_num_prop, log_num_curr, log_q_ratio, u):
+    log_ratio = _ref_log_quotient(log_num_prop, log_num_curr) + log_q_ratio
+    return log_ratio, u < np.exp(np.minimum(log_ratio, 0.0))
+
+
+_LOG_VALUES = (st.sampled_from([-np.inf, np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e308,
+                                -1e308, -800.0, 800.0])
+               | st.floats(-1e3, 1e3))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_LOG_VALUES, _LOG_VALUES, _LOG_VALUES, st.floats(0.0, 1.0, exclude_max=True))
+def test_scalar_mh_step_is_the_array_composition_bit_for_bit(prop, curr, q, u):
+    # a lone chain hands mh_step numpy scalars; a test or the equivalence check may
+    # hand it Python floats; either way the result is row 0 of the (1,) array case
+    with np.errstate(invalid="ignore", over="ignore"):
+        ref_ratio, ref_accept = _ref_mh_step(np.array([prop]), np.array([curr]), q, u)
+        for cast in (float, np.float64):
+            ratio, accept = mh_step(cast(prop), cast(curr), q, u)
+            assert np.asarray(ratio).tobytes() == ref_ratio[0].tobytes()
+            assert bool(accept) == bool(ref_accept[0])
+            quotient = log_quotient(cast(prop), cast(curr))
+            assert np.asarray(quotient).tobytes() == _ref_log_quotient(
+                np.array([prop]), np.array([curr]))[0].tobytes()
+        ratio, accept = mh_step(np.array([prop]), np.array([curr]), q, u)
+        assert ratio.tobytes() == ref_ratio.tobytes() and accept == ref_accept
