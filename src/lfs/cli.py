@@ -25,7 +25,7 @@ from .mcmc import MCMC_VARIANTS, PROPOSAL_KINDS, run_mcmc
 from .models import MODEL_NAMES
 from .output import (resolve_out_path, summary_path_for, write_json_summary,
                      write_samples_csv)
-from .rejection import run_rejection
+from .rejection import MAX_WORKERS, run_rejection
 from .smc import SMC_VARIANTS, run_smc
 
 EXIT_OK = 0
@@ -61,7 +61,7 @@ def build_parser():
     p.add_argument("--n-accept", dest="rejection.n_accept")
     p.add_argument("--budget", dest="rejection.budget")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads (execution knob; never affects output)")
+                   help=f"worker threads, 1 to {MAX_WORKERS} (never affects output)")
     p.add_argument("--block-size", dest="rejection.block_size")
     p.add_argument("--emit-bundles", action="store_true", default=None,
                    dest="rejection.emit_bundles",

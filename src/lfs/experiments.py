@@ -37,7 +37,7 @@ def _max_discrepancy(a, b):
 # equivalence
 # ---------------------------------------------------------------------------
 
-def dual_bookkeeping_mcmc(config, seed=None):
+def dual_bookkeeping_mcmc(config):
     """Run a carried-bundle chain assembling the acceptance ratio both ways.
 
     Marginal reading: ratio of Monte Carlo marginal estimates (each the value
@@ -50,7 +50,6 @@ def dual_bookkeeping_mcmc(config, seed=None):
     kernel = config.build_kernel()
     proposal = config.build_proposal()
     t_y = config.run.t_y
-    seed = config.run.seed if seed is None else seed
     n_iter = config.experiment.equivalence_iters
 
     worst = {"value": 0.0, "iteration": None}
@@ -72,7 +71,7 @@ def dual_bookkeeping_mcmc(config, seed=None):
             mismatch_with_production.update(value=p, iteration=rec.step)
 
     run_mcmc(model, kernel, t_y, config.run.s, CARRIED_BUNDLE, proposal,
-             n_iter, 0, seed, chain_id=config.mcmc.chain_id, on_iteration=check)
+             n_iter, 0, config.run.seed, chain_id=config.mcmc.chain_id, on_iteration=check)
     return {
         "iterations": n_iter,
         "max_discrepancy": worst["value"],
@@ -81,7 +80,7 @@ def dual_bookkeeping_mcmc(config, seed=None):
     }
 
 
-def dual_bookkeeping_smc(config, seed=None):
+def dual_bookkeeping_smc(config):
     """Joint-move SMC run assembling each mutation move's incremental weight
     both ways (marginal-estimate grouping vs factorized-joint grouping), one
     step's moves at a time."""
@@ -89,7 +88,6 @@ def dual_bookkeeping_smc(config, seed=None):
     kernel = config.build_kernel()
     mutation = config.build_mutation()
     t_y = config.run.t_y
-    seed = config.run.seed if seed is None else seed
     n_particles = config.experiment.equivalence_particles
     n_steps = config.experiment.equivalence_steps
     schedule = BandwidthSchedule.geometric(4.0 * config.kernel.h, config.kernel.h, n_steps)
@@ -120,7 +118,7 @@ def dual_bookkeeping_smc(config, seed=None):
             worst.update(value=d, step=rec.step)
 
     run_smc(model, kernel, schedule, config.run.s, n_particles, JOINT_MCMC_MOVE,
-            mutation, seed, t_y, ess_threshold=config.smc.ess_threshold,
+            mutation, config.run.seed, t_y, ess_threshold=config.smc.ess_threshold,
             on_mutation=check)
     return {
         "moves_checked": count["n"],
@@ -162,10 +160,9 @@ def _sampler_moments(config, sampler, S, seeds):
 CROSS_SAMPLERS = ("rejection", "mcmc-carried", "smc-joint", "smc-backward")
 
 
-def cross_sampler_table(config, seed=None):
+def cross_sampler_table(config):
     """All four samplers on the same target: moments must agree pairwise
     within 3x combined (replicate-based) standard errors, for each S."""
-    seed = config.run.seed if seed is None else seed
     exp = config.experiment
     check_s_grid("cross_s_grid", exp.cross_s_grid)
     table = {}
@@ -174,7 +171,7 @@ def cross_sampler_table(config, seed=None):
         cell = {}
         for sampler in CROSS_SAMPLERS:
             stats = _sampler_moments(config, sampler, S,
-                                     [derive_seed(seed, "cross", sampler, S, r)
+                                     [derive_seed(config.run.seed, "cross", sampler, S, r)
                                       for r in range(exp.cross_replicates)])
             means = np.array([s[0] for s in stats])
             variances = np.array([s[1] for s in stats])
@@ -202,12 +199,12 @@ def cross_sampler_table(config, seed=None):
     return {"table": table, "ok": all_ok}
 
 
-def experiment_equivalence(config, seed=None):
+def experiment_equivalence(config):
     """Dual-bookkeeping discrepancies (must be exactly zero) plus the
     cross-sampler moment comparison over the configured S grid."""
-    mcmc_part = dual_bookkeeping_mcmc(config, seed)
-    smc_part = dual_bookkeeping_smc(config, seed)
-    cross = cross_sampler_table(config, seed)
+    mcmc_part = dual_bookkeeping_mcmc(config)
+    smc_part = dual_bookkeeping_smc(config)
+    cross = cross_sampler_table(config)
     passed = (mcmc_part["max_discrepancy"] == 0.0
               and mcmc_part["max_mismatch_with_production"] == 0.0
               and smc_part["max_discrepancy"] == 0.0
@@ -225,14 +222,14 @@ def experiment_equivalence(config, seed=None):
 # mcwm-bias
 # ---------------------------------------------------------------------------
 
-def experiment_mcwm_bias(config, seed=None):
+def experiment_mcwm_bias(config):
     """KS-to-oracle distances of fresh-denominator vs carried-bundle chains
     across the S grid; the fresh chain must improve with S, the carried chain
     must show no trend."""
     model = config.build_model()
     kernel = config.build_kernel()
     t_y = config.run.t_y
-    seed = config.run.seed if seed is None else seed
+    seed = config.run.seed
     exp = config.experiment
     check_s_grid("bias_s_grid", exp.bias_s_grid)
     oracle = model.oracle(t_y, kernel)
@@ -293,13 +290,13 @@ def experiment_mcwm_bias(config, seed=None):
 # s-invariance
 # ---------------------------------------------------------------------------
 
-def experiment_s_invariance(config, seed=None):
+def experiment_s_invariance(config):
     """Pairwise permutation KS tests between the S-populations of the
     rejection and carried-bundle MCMC samplers, plus a same-S control."""
     model = config.build_model()
     kernel = config.build_kernel()
     t_y = config.run.t_y
-    seed = config.run.seed if seed is None else seed
+    seed = config.run.seed
     exp = config.experiment
     check_s_grid("sinv_s_grid", exp.sinv_s_grid)
     n = exp.sinv_samples

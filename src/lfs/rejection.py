@@ -9,12 +9,15 @@ exact joint-target draws, so the thetas alone are exact draws from the
 smoothed marginal posterior, for every S.
 
 Work is split into fixed-size proposal blocks, each on its own substream
-keyed by (seed, "reject", "block", b).  Blocks may be evaluated by any number
-of worker threads but are consumed strictly in block order, so the output is
-byte-identical for every worker count.
+keyed by (seed, "reject", "block", b).  One loop consumes the blocks
+strictly in block order for every worker count, so the output is
+byte-identical for every worker count.  With one worker each block is
+evaluated as the loop reaches it; with more, a pool of ``workers`` threads
+evaluates up to ``2 * workers`` blocks ahead.
 """
 
 import logging
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,6 +32,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_BUDGET = 10**8
 DEFAULT_BLOCK_SIZE = 4096
 LOG_EVERY = 2_000_000  # proposals between progress log lines
+MAX_WORKERS = 64  # the pool starts up to one thread per worker
 
 
 @dataclass
@@ -60,13 +64,24 @@ def _evaluate_block(model, kernel, t_y, S, seed, block, block_size):
     return thetas, bundles, accept
 
 
+def _in_block_order(pool, evaluate, n_blocks, ahead):
+    """``evaluate(b)`` for b = 0, 1, ... in order, with up to ``ahead`` blocks in flight."""
+    pending = deque()
+    for block in range(n_blocks):
+        for nxt in range(block + len(pending), min(block + ahead, n_blocks)):
+            pending.append(pool.submit(evaluate, nxt))
+        yield pending.popleft().result()
+
+
 def check_arguments(S, n_accept, budget, block_size, workers):
     """The checks ``run_rejection`` makes on its scalar arguments."""
     check_bundle_size(S)
     if n_accept < 1:
         raise ConfigurationError("n_accept must be >= 1")
-    if workers < 1 or block_size < 1 or budget < 1:
-        raise ConfigurationError("workers, block_size and budget must be positive")
+    if block_size < 1 or budget < 1:
+        raise ConfigurationError("block_size and budget must be positive")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ConfigurationError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
 
 
 def run_rejection(model, kernel, t_y, S, n_accept, seed, *,
@@ -86,7 +101,8 @@ def run_rejection(model, kernel, t_y, S, n_accept, seed, *,
         Maximum proposals before failing loudly (small bandwidths can make
         acceptance arbitrarily rare; the sampler must not hang).
     workers : int
-        Worker threads evaluating proposal blocks; does not affect output.
+        Worker threads evaluating proposal blocks, 1..``MAX_WORKERS``; does
+        not affect output.
 
     Raises
     ------
@@ -95,63 +111,37 @@ def run_rejection(model, kernel, t_y, S, n_accept, seed, *,
     """
     check_arguments(S, n_accept, budget, block_size, workers)
 
+    def evaluate(block):
+        return _evaluate_block(model, kernel, t_y, S, seed, block, block_size)
+
     acc_thetas, acc_bundles = [], []
     n_found = 0
     next_log = LOG_EVERY
-
-    def finish(final_block, within):
-        return RejectionOutput(thetas=np.concatenate(acc_thetas)[:n_accept],
-                               bundles=np.concatenate(acc_bundles)[:n_accept],
-                               proposals_used=final_block * block_size + within)
-
-    def handle(block, result):
-        """Consume one block (in order). Returns output when n_accept is reached."""
-        nonlocal n_found, next_log
-        thetas, bundles, accept = result
-        allowed = min(block_size, budget - block * block_size)
-        accept = accept[:allowed]
-        idx = np.flatnonzero(accept)
-        if idx.size:
-            acc_thetas.append(thetas[idx])
-            acc_bundles.append(bundles[idx])
-            n_found += idx.size
-        if n_found >= n_accept:
-            # position (1-based) of the n_accept-th acceptance inside this block
-            last_needed = idx[idx.size - (n_found - n_accept) - 1]
-            return finish(block, int(last_needed) + 1)
-        done = block * block_size + allowed
-        if done >= next_log:
-            next_log += LOG_EVERY
-            logger.info("rejection: %d proposals, %d/%d accepted", done, n_found, n_accept)
-        return None
-
     n_blocks = -(-budget // block_size)  # ceil
-
-    if workers == 1:
-        for block in range(n_blocks):
-            out = handle(block, _evaluate_block(model, kernel, t_y, S, seed, block, block_size))
-            if out is not None:
-                return out
-    else:
-        window = 2 * workers
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = {
-                b: pool.submit(_evaluate_block, model, kernel, t_y, S, seed, b, block_size)
-                for b in range(min(window, n_blocks))
-            }
-            block = 0
-            while block < n_blocks:
-                result = pending.pop(block).result()
-                nxt = block + len(pending) + 1
-                if nxt < n_blocks:
-                    pending[nxt] = pool.submit(
-                        _evaluate_block, model, kernel, t_y, S, seed, nxt, block_size)
-                out = handle(block, result)
-                if out is not None:
-                    for fut in pending.values():
-                        fut.cancel()
-                    return out
-                block += 1
+    pool = ThreadPoolExecutor(max_workers=workers)
+    # a lone pool thread would add thread handoffs to every block and gain nothing
+    results = (map(evaluate, range(n_blocks)) if workers == 1
+               else _in_block_order(pool, evaluate, n_blocks, 2 * workers))
+    try:
+        for block, (thetas, bundles, accept) in enumerate(results):
+            allowed = min(block_size, budget - block * block_size)
+            idx = np.flatnonzero(accept[:allowed])
+            if idx.size:
+                acc_thetas.append(thetas[idx])
+                acc_bundles.append(bundles[idx])
+                n_found += idx.size
+            if n_found >= n_accept:
+                # position (1-based) of the n_accept-th acceptance inside this block
+                within = int(idx[idx.size - (n_found - n_accept) - 1]) + 1
+                return RejectionOutput(thetas=np.concatenate(acc_thetas)[:n_accept],
+                                       bundles=np.concatenate(acc_bundles)[:n_accept],
+                                       proposals_used=block * block_size + within)
+            done = block * block_size + allowed
+            if done >= next_log:
+                next_log += LOG_EVERY
+                logger.info("rejection: %d proposals, %d/%d accepted", done, n_found, n_accept)
+    finally:
+        pool.shutdown(cancel_futures=True)  # waits for running blocks: no thread outlives the call
 
     raise BudgetExhaustedError(
         f"rejection budget of {budget} proposals exhausted with "

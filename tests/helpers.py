@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 
@@ -30,10 +31,12 @@ class ConstantKernel:
 
 class CountingModel:
     """Delegating wrapper that counts bundles simulated (one per theta row), summaries
-    and calls of ``prior_logdensity``."""
+    and calls of ``prior_logdensity``.  The simulation counts stay exact when pool
+    threads simulate at once."""
 
     def __init__(self, model):
         self._model = model
+        self._lock = threading.Lock()
         self.n_calls = 0
         self.n_summaries = 0
         self.n_prior_calls = 0
@@ -44,8 +47,9 @@ class CountingModel:
 
     def simulate(self, theta, n, rng):
         rows = math.prod(np.shape(theta)[:-1])
-        self.n_calls += rows
-        self.n_summaries += rows * n
+        with self._lock:
+            self.n_calls += rows
+            self.n_summaries += rows * n
         return self._model.simulate(theta, n, rng)
 
     def __getattr__(self, item):

@@ -9,6 +9,7 @@ import pytest
 from helpers import NanBundleModel
 from lfs import cli
 from lfs.output import read_samples_csv
+from lfs.rejection import MAX_WORKERS
 
 
 def run_cli(args):
@@ -159,6 +160,19 @@ def test_determinism_across_worker_counts(tmp_path, monkeypatch):
         payloads.append(((out_dir / "w.csv").read_bytes(),
                          (out_dir / "w.summary.json").read_bytes()))
     assert payloads[0] == payloads[1]
+
+
+def test_reject_workers_above_the_ceiling_exit_config_error(tmp_path, monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was created")
+
+    monkeypatch.setattr("lfs.rejection.ThreadPoolExecutor", no_pool)
+    out = tmp_path / "w.csv"
+    code = run_cli(["reject", "--n-accept", "10", "--workers", str(MAX_WORKERS + 1),
+                    "--out", str(out)])
+    assert code == cli.EXIT_CONFIG == 2
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_smc_non_finite_simulator_output_exits_config_error(tmp_path, monkeypatch, capsys):

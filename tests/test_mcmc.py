@@ -146,7 +146,8 @@ def test_dual_bookkeeping_exact_zero(model, kernel):
 
     cfg = RunConfig()
     cfg.experiment.equivalence_iters = 2000
-    report = dual_bookkeeping_mcmc(cfg, seed=31)
+    cfg.run.seed = 31
+    report = dual_bookkeeping_mcmc(cfg)
     assert report["max_discrepancy"] == 0.0
     assert report["max_mismatch_with_production"] == 0.0
 

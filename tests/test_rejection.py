@@ -1,15 +1,17 @@
+import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from helpers import ConstantKernel, NanBundleModel
+from helpers import ConstantKernel, CountingModel, NanBundleModel
 from lfs.diagnostics import ks_statistic, ks_critical_value
 from lfs.errors import BudgetExhaustedError, ConfigurationError, DomainError
 from lfs.kernels import SmoothingKernel
 from lfs.models import BernoulliCountModel, NormalMeanModel
-from lfs.rejection import _evaluate_block, run_rejection
+from lfs.rejection import MAX_WORKERS, _evaluate_block, check_arguments, run_rejection
 from lfs.rng import substream
 
 
@@ -105,21 +107,54 @@ def test_deterministic_and_worker_invariant():
         assert runs[0].proposals_used == other.proposals_used
 
 
-def test_acceptance_rate_bookkeeping():
+def _reference_proposals_used(model, kernel, t_y, S, n_accept, seed, block_size):
+    """Proposals up to the n_accept-th acceptance, reading the blocks one by one."""
+    found = 0
+    for block in itertools.count():
+        accept = _evaluate_block(model, kernel, t_y, S, seed, block, block_size)[2]
+        if found + accept.sum() >= n_accept:
+            return block * block_size + int(np.flatnonzero(accept)[n_accept - found - 1]) + 1
+        found += int(accept.sum())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_acceptance_rate_bookkeeping(workers):
     model = NormalMeanModel()
     kernel = SmoothingKernel("gaussian", 1.0)
-    out = run_rejection(model, kernel, 0.0, 1, 777, seed=2, block_size=100)
+    out = run_rejection(model, kernel, 0.0, 1, 777, seed=2, block_size=100, workers=workers)
     assert out.n_accepted == 777
+    assert out.proposals_used == _reference_proposals_used(model, kernel, 0.0, 1, 777, 2, 100)
     assert out.acceptance_rate == 777 / out.proposals_used
     assert np.all(np.isfinite(out.thetas))
 
 
-def test_budget_exhaustion():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_budget_exhaustion(workers):
     model = NormalMeanModel()
     kernel = SmoothingKernel("uniform", 1e-4)  # essentially never accepts
     with pytest.raises(BudgetExhaustedError) as err:
-        run_rejection(model, kernel, 0.0, 1, 10, seed=1, budget=2000, block_size=128)
+        run_rejection(model, kernel, 0.0, 1, 10, seed=1, budget=2000, block_size=128,
+                      workers=workers)
+    # 15 full blocks of 128 and a final block cut to 80
     assert err.value.proposals_used == 2000
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_look_ahead_is_bounded_and_no_thread_outlives_the_call(workers):
+    kernel = SmoothingKernel("gaussian", 0.5)
+    threads = threading.active_count()
+    model = CountingModel(NormalMeanModel())
+    out = run_rejection(model, kernel, 0.0, 1, 300, seed=4, budget=10**5, block_size=100,
+                        workers=workers)
+    last_block = (out.proposals_used - 1) // 100
+    assert last_block >= 2  # the run spans several blocks of the 1000 it may use
+    assert model.n_calls % 100 == 0
+    assert last_block + 1 <= model.n_calls // 100 <= last_block + 1 + 2 * workers
+    assert threading.active_count() == threads
+    with pytest.raises(DomainError):
+        run_rejection(NanBundleModel(clean_bundles=500), kernel, 0.0, 2, 10**6, seed=5,
+                      block_size=100, workers=workers)
+    assert threading.active_count() == threads
 
 
 def test_parameter_validation():
@@ -129,6 +164,20 @@ def test_parameter_validation():
         run_rejection(model, kernel, 0.0, 0, 10, seed=1)
     with pytest.raises(ConfigurationError):
         run_rejection(model, kernel, 0.0, 1, 0, seed=1)
+
+
+def test_worker_ceiling_is_checked_before_any_pool_exists(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was created")
+
+    monkeypatch.setattr("lfs.rejection.ThreadPoolExecutor", no_pool)
+    check_arguments(1, 10, 1000, 100, MAX_WORKERS)
+    for workers in (0, MAX_WORKERS + 1):
+        with pytest.raises(ConfigurationError, match="workers"):
+            check_arguments(1, 10, 1000, 100, workers)
+        with pytest.raises(ConfigurationError, match="workers"):
+            run_rejection(NormalMeanModel(), SmoothingKernel("gaussian", 1.0), 0.0, 1, 10,
+                          seed=1, workers=workers)
 
 
 def test_non_finite_simulator_output_raises():
