@@ -116,11 +116,11 @@ class SmoothingKernel:
     def _log_profile(self, d):
         h = self.bandwidth
         if self.kind == "uniform":
-            return np.where(d <= 1.0, -math.log(2.0 * h), -np.inf)
+            return np.where(d <= 1.0, -math.log(2.0 * h), -np.inf)[()]  # 0-d: a scalar
         if self.kind == "epanechnikov":
             with np.errstate(divide="ignore", invalid="ignore"):
                 body = math.log(0.75 / h) + np.log1p(-(d * d))
-            return np.where(d < 1.0, body, -np.inf)
+            return np.where(d < 1.0, body, -np.inf)[()]
         return -0.5 * d * d - math.log(h) - _LOG_SQRT_2PI
 
     # -- pooled kernel over a bundle ------------------------------------------
@@ -143,7 +143,7 @@ class SmoothingKernel:
             low = rel < _LOG_TINY
             logs = self._log_profile(d[low])
             out[low] = np.logaddexp.reduce(logs, axis=-1) - math.log(d.shape[-1])
-        return out
+        return out[()]  # a lone bundle's value as a numpy scalar, not a 0-d array
 
     def _bundle_distances(self, t_y, bundle):
         bundle = np.asarray(bundle, dtype=float)

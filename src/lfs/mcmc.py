@@ -15,9 +15,10 @@ grows.  It exists to make that bias observable and is labeled as biased in
 all emitted metadata.
 
 Both variants, like SMC's joint-move mutation, make the one MH move
-``target.mh_move`` on one batched ``AugmentedState``.  ``run_chains`` runs C
-chains in lockstep, each drawing on its own substream exactly what it draws
-alone; ``run_mcmc`` is its batch of one.
+``target.mh_move`` on one batched ``AugmentedState``, and draw every bundle
+(the initial one, the proposal's and the fresh re-estimate) through
+``target.propose``.  ``run_chains`` runs C chains in lockstep, each drawing on
+its own substream exactly what it draws alone; ``run_mcmc`` is its batch of one.
 """
 
 import operator
@@ -29,8 +30,8 @@ import numpy as np
 from .errors import BudgetExhaustedError, ConfigurationError, DomainError
 from .kernels import _LOG_SQRT_2PI
 from .rng import substream
-from .target import (AugmentedState, MoveRecord, _check_bundle, joint_logdensity_unnorm,
-                     mh_move, simulate_checked)
+from .target import AugmentedState, MoveRecord, mh_move, propose
+from .target import joint_logdensity_unnorm  # noqa: F401 (unused; perfbench's self-test patches it)
 
 CARRIED_BUNDLE = "carried"
 FRESH_DENOMINATOR = "fresh"
@@ -115,7 +116,7 @@ class McmcOutput:
 
 def initialize_chain(model, kernel, t_y, S, rng, init=None, init_budget=100_000,
                      stream=None):
-    """Draw a starting (theta, bundle) with nonzero pooled kernel (budgeted).
+    """Draw a starting ``AugmentedState`` with nonzero pooled kernel (budgeted).
 
     With ``init`` the parameter is fixed and only its bundle is redrawn.
     ``stream`` is the ``(seed, *path)`` of ``rng``, named by simulator errors.
@@ -126,9 +127,9 @@ def initialize_chain(model, kernel, t_y, S, rng, init=None, init_budget=100_000,
             raise DomainError(f"init theta={init} outside the prior's support")
     for _ in range(init_budget):
         theta = model.prior_sample(rng) if init is None else init
-        bundle = simulate_checked(model, theta, S, rng, stream, 0)
-        if joint_logdensity_unnorm(theta, bundle, t_y, kernel, model) > -np.inf:
-            return theta, bundle
+        state = propose(model, kernel, t_y, S, theta, rng, stream, 0)
+        if state.log_num > -np.inf:
+            return state
     where = "from the prior" if init is None else f"at init theta={init}"
     raise BudgetExhaustedError(
         f"chain initialization found no state with nonzero kernel {where} "
@@ -143,26 +144,6 @@ def check_arguments(variant, n_iter, burn_in, thin):
         raise ConfigurationError("need n_iter > burn_in >= 0")
     if thin < 1:
         raise ConfigurationError("thin must be >= 1")
-
-
-def _simulate_rows(model, thetas, S, rngs, streams, iteration, live, fill):
-    """Bundles for thetas (C, p): row k simulated alone on ``rngs[k]`` where ``live[k]``,
-    else ``fill[k]``.  One check covers the batch; on failure the first bad row raises
-    ``simulate_checked``'s error.  A lone chain's (p,) theta gives its (S, d) bundle."""
-    if thetas.ndim == 1:
-        return simulate_checked(model, thetas, S, rngs[0], streams[0], iteration)
-    rows = np.flatnonzero(live)
-    bundles = [model.simulate(thetas[k], S, rngs[k]) for k in rows]
-    expected = (S, model.summary_dim)
-    batch = np.array(bundles) if all(np.shape(b) == expected for b in bundles) else None
-    if batch is None or np.count_nonzero(np.isfinite(batch)) < batch.size:
-        for k, bundle in zip(rows, bundles):
-            _check_bundle(model, bundle, expected, streams[k], iteration)
-    if rows.size == len(thetas):
-        return batch
-    out = fill.copy()
-    out[rows] = batch
-    return out
 
 
 def run_chains(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, chains, *,
@@ -189,13 +170,12 @@ def run_chains(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, chains
     if not rngs:
         raise ConfigurationError("chains must hold at least one (seed, chain_id) pair")
     C = len(rngs)
-    stack, some, draw = (((lambda rows: rows[0]), bool, rngs[0]) if C == 1
-                         else (np.array, np.count_nonzero, rngs))
-    theta, bundle = map(stack, zip(*(
-        initialize_chain(model, kernel, t_y, S, rng, init, init_budget, stream)
-        for rng, stream in zip(rngs, streams))))
-    state = AugmentedState(theta, bundle, model.prior_logdensity(theta),
-                           kernel.log_pooled(t_y, bundle))
+    count, draw, origin = ((bool, rngs[0], streams[0]) if C == 1
+                           else (np.count_nonzero, rngs, streams))
+    states = [initialize_chain(model, kernel, t_y, S, rng, init, init_budget, stream)
+              for rng, stream in zip(rngs, streams)]
+    state = states[0] if C == 1 else AugmentedState(*map(np.array, zip(*(
+        (s.theta, s.bundle, s.log_prior, s.log_pooled) for s in states))))
     symmetric = proposal.symmetric
     kept = np.arange(burn_in + 1, n_iter + 1, thin, dtype=np.int64)
     kept_thetas, kept_lognums = np.empty((kept.size, C, model.param_dim)), np.empty((kept.size, C))
@@ -205,17 +185,15 @@ def run_chains(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, chains
         # the support check's value is the proposal's log prior
         log_prior_prop = model.prior_logdensity(theta_prop)
         live = log_prior_prop > -np.inf
-        if some(live):
-            bundle_prop = _simulate_rows(model, theta_prop, S, rngs, streams, n, live,
-                                         state.bundle)
-            prop = AugmentedState(theta_prop, bundle_prop, log_prior_prop,
-                                  kernel.log_pooled(t_y, bundle_prop))
+        if count(live):
+            prop = propose(model, kernel, t_y, S, theta_prop, draw, origin, n, state.bundle,
+                           log_prior_prop)
             if variant == FRESH_DENOMINATOR:
-                # latest estimate at the (unchanged) current parameters
-                bundle = _simulate_rows(model, state.theta, S, rngs, streams, n, live,
-                                        state.bundle)
-                state = AugmentedState(state.theta, bundle, state.log_prior,
-                                       kernel.log_pooled(t_y, bundle))
+                # latest estimate at the current parameters, in the rows with a live proposal
+                fresh = propose(model, kernel, t_y, S, state.theta, draw, origin, n, state.bundle,
+                                state.log_prior if count(live) == C  # lone: True == 1
+                                else np.where(live, state.log_prior, -np.inf))
+                fresh.log_prior, state = state.log_prior, fresh  # its log prior, unmasked
             u = (draw.random() if C == 1 else  # uniform()'s draw, without its 0 + 1 * x
                  np.array([rng.random() if ok else 1.0 for rng, ok in zip(rngs, live)]))
             curr = state

@@ -210,6 +210,8 @@ class BernoulliCountModel(Model):
 
     def prior_logdensity(self, theta):
         th = _as_theta(theta, self.param_dim)[..., 0]
+        if th.ndim == 0:  # one theta: a numpy scalar, without np.where's 0-d array
+            return np.float64(0.0 if 0.0 <= th <= 1.0 else -np.inf)
         return np.where((th >= 0.0) & (th <= 1.0), 0.0, -np.inf)
 
     def prior_sd(self):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BudgetExhaustedError, ConfigurationError
 from .rng import substream
-from .target import check_bundle_size, simulate_checked
+from .target import check_bundle_size, propose
 
 logger = logging.getLogger(__name__)
 
@@ -56,12 +56,11 @@ def _evaluate_block(model, kernel, t_y, S, seed, block, block_size):
     """Propose one block on its own substream; returns (thetas, bundles, accept mask)."""
     stream = (seed, "reject", "block", block)
     rng = substream(*stream)
-    thetas = model.prior_sample(rng, (block_size,))
-    bundles = simulate_checked(model, thetas, S, rng, stream)
+    prop = propose(model, kernel, t_y, S, model.prior_sample(rng, (block_size,)), rng, stream)
     u = rng.uniform(size=block_size)
     with np.errstate(divide="ignore"):  # u = 0 gives log 0 = -inf: accepted, as u * sup < pooled
-        accept = np.log(u) + np.log(kernel.sup_value()) < kernel.log_pooled(t_y, bundles)
-    return thetas, bundles, accept
+        accept = np.log(u) + np.log(kernel.sup_value()) < prop.log_pooled
+    return prop.theta, prop.bundle, accept
 
 
 def _in_block_order(pool, evaluate, n_blocks, ahead):

@@ -19,9 +19,10 @@ indexed by bandwidths h_1 > h_2 > ... > h_n, with two weight formulations:
     every S >= 1.  Optional probabilistic particle rejection drops low-weight
     particles while preserving expected weight.
 
-Each step's randomness comes from substreams keyed by (seed, "smc", "step",
-k, phase); phases execute in a fixed order over particles, so a run is a
-deterministic function of the seed.
+Both variants build the initial population and each step's proposals through
+``target.propose``.  Each step's randomness comes from substreams keyed by
+(seed, "smc", "step", k, phase); phases execute in a fixed order over
+particles, so a run is a deterministic function of the seed.
 """
 
 import math
@@ -34,7 +35,7 @@ from .errors import ConfigurationError, ParticleCollapseError
 from .kernels import _LOG_SQRT_2PI
 from .rng import substream
 from .target import (AugmentedState, MoveRecord, check_bundle_size, log_quotient, mh_move,
-                     simulate_checked)
+                     propose)
 
 JOINT_MCMC_MOVE = "joint-move"
 BACKWARD_KERNEL = "backward"
@@ -269,10 +270,8 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
     # step 1: prior draws, bundles, weights proportional to the pooled kernel
     stream = (seed, "smc", "init")
     rng_init = substream(*stream)
-    thetas = model.prior_sample(rng_init, (N,))
-    bundles = simulate_checked(model, thetas, S, rng_init, stream)
-    state = AugmentedState(thetas, bundles, model.prior_logdensity(thetas),
-                           kernel.with_bandwidth(hs[0]).log_pooled(t_y, bundles))
+    state = propose(model, kernel.with_bandwidth(hs[0]), t_y, S,
+                    model.prior_sample(rng_init, (N,)), rng_init, stream)
     log_w = state.log_pooled
     norm_w = normalize_log_weights(log_w, step=1)
     ess_trace = [ess(norm_w)]
@@ -306,12 +305,8 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
         # one proposal per particle; rows outside the prior keep their bundle
         stream = (seed, "smc", "step", k, "mutate")
         rng = substream(*stream)
-        thetas = mutation.sample(state.theta, model, rng)
-        log_prior = model.prior_logdensity(thetas)
-        live = log_prior > -np.inf
-        bundles = state.bundle.copy()
-        bundles[live] = simulate_checked(model, thetas[live], S, rng, stream)
-        prop = AugmentedState(thetas, bundles, log_prior, kern.log_pooled(t_y, bundles))
+        prop = propose(model, kern, t_y, S, mutation.sample(state.theta, model, rng), rng,
+                       stream, fill=state.bundle)
 
         if variant == JOINT_MCMC_MOVE:
             # one carried-bundle MH step per particle, invariant for the new target
@@ -319,11 +314,12 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
             curr = state
             state, log_ratio, accept = mh_move(curr, prop, mutation.symmetric, u)
             if on_mutation is not None:
+                live = prop.log_prior > -np.inf
                 on_mutation(MoveRecord(k, prop.take(live), curr.take(live), log_ratio[live],
                                        u[live], accept[live]))
             acceptance_trace.append(float(np.mean(accept)))
         else:
-            log_w = log_w + incremental_weight_backward(thetas, prop.log_num, prev_thetas,
+            log_w = log_w + incremental_weight_backward(prop.theta, prop.log_num, prev_thetas,
                                                         prev_logw, mutation, model)
             state = prop
             norm_w = normalize_log_weights(log_w, step=k)

@@ -7,9 +7,10 @@ itself, so the intractable product of data densities cancels between target
 and proposal, and what survives in every acceptance ratio and importance
 weight is exactly ``log(pooled kernel) + log(prior)``.  The marginal reading,
 the unbiased Monte Carlo estimate of the unnormalized smoothed marginal, is
-the same ``joint_logdensity_unnorm`` evaluated on a fresh bundle from
-``simulate_checked``.  Having one implementation for both is what makes the
-joint-target and marginal-target bookkeepings of the samplers bit-identical.
+the same quantity on a fresh bundle: the ``log_num`` of a ``propose`` state,
+which is how every sampler builds its (theta, bundle) states.  Having one
+implementation for both is what makes the joint-target and marginal-target
+bookkeepings of the samplers bit-identical.
 
 All density work is in log space with -inf for exact zeros: compactly
 supported kernels produce genuine zeros, and products of many densities
@@ -100,7 +101,7 @@ def check_s_grid(name, grid):
 
 
 def simulate_checked(model, theta, S, rng, stream=None, iteration=None):
-    """``model.simulate(theta, S, rng)`` for every sampler, with its output checked.
+    """``model.simulate(theta, S, rng)`` with its output checked, as ``propose`` simulates.
 
     A bundle of the wrong shape, or holding a NaN or infinite summary, raises
     ``DomainError`` instead of becoming a silent kernel miss or a NaN weight.
@@ -112,29 +113,52 @@ def simulate_checked(model, theta, S, rng, stream=None, iteration=None):
     return _check_bundle(model, model.simulate(theta, S, rng), expected, stream, iteration)
 
 
+def propose(model, kernel, t_y, S, theta, rng, stream=None, iteration=None, fill=None,
+            log_prior=None):
+    """The ``AugmentedState`` of theta (p,) or (n, p) with fresh bundles: every sampler's states.
+
+    The log prior is evaluated unless given.  Only rows inside its support are
+    simulated; the others keep ``fill``'s bundle (without ``fill``, all rows are).
+    ``rng`` is one generator, or one per row with ``stream`` listing their paths:
+    row k then draws what it draws alone, and a bad row's error names its stream.
+    """
+    if log_prior is None:
+        log_prior = model.prior_logdensity(theta)
+    if theta.ndim == 1:  # a lone theta: no row bookkeeping
+        bundle = (simulate_checked(model, theta, S, rng, stream, iteration)
+                  if fill is None or log_prior > -np.inf else fill)
+        return AugmentedState(theta, bundle, log_prior, kernel.log_pooled(t_y, bundle))
+    rows = np.arange(len(theta)) if fill is None else (log_prior > -np.inf).nonzero()[0]
+    every = rows.size == len(theta)
+    if isinstance(rng, np.random.Generator):
+        bundle = simulate_checked(model, theta if every else theta[rows], S, rng, stream, iteration)
+    else:
+        bundles = [model.simulate(theta[k], S, rng[k]) for k in rows]
+        expected = (S, model.summary_dim)
+        bundle = np.array(bundles) if all(np.shape(b) == expected for b in bundles) else None
+        if bundle is None or np.count_nonzero(np.isfinite(bundle)) < bundle.size:
+            for k, b in zip(rows, bundles):  # the first bad row raises
+                _check_bundle(model, b, expected, stream[k], iteration)
+    if not every:  # the reshape: a per-row stack of no rows is (0,)
+        bundle, simulated = fill.copy(), bundle
+        bundle[rows] = simulated.reshape(rows.size, *fill.shape[1:])
+    return AugmentedState(theta, bundle, log_prior, kernel.log_pooled(t_y, bundle))
+
+
 def _check_bundle(model, bundle, expected, stream, iteration):
     """``bundle`` if it has shape ``expected`` and only finite values; else the error above."""
     if np.shape(bundle) != expected:
-        raise DomainError(f"model {model.name!r} simulated summaries of shape "
-                          f"{np.shape(bundle)}, expected {expected}"
-                          f"{_origin(stream, iteration)}")
-    finite = np.isfinite(bundle)
-    if np.count_nonzero(finite) < finite.size:  # finite.all(), without its method wrapper
-        n_bad = int(np.count_nonzero(~finite.all(axis=-1)))
-        raise DomainError(f"model {model.name!r} simulated {n_bad} non-finite "
-                          f"summaries out of {bundle.size // expected[-1]}"
-                          f"{_origin(stream, iteration)}")
-    return bundle
-
-
-def _origin(stream, iteration):
-    """Where a simulated bundle came from, for an error message."""
-    parts = []
-    if stream is not None:
-        parts.append(f"seed {stream[0]}, substream {tuple(stream[1:])!r}")
-    if iteration is not None:
-        parts.append(f"iteration {iteration}")
-    return f" ({', '.join(parts)})" if parts else ""
+        problem = f"summaries of shape {np.shape(bundle)}, expected {expected}"
+    else:
+        finite = np.isfinite(bundle)
+        if np.count_nonzero(finite) == finite.size:  # finite.all(), without its method wrapper
+            return bundle
+        problem = (f"{np.count_nonzero(~finite.all(axis=-1))} non-finite summaries out of "
+                   f"{bundle.size // expected[-1]}")
+    where = [f"seed {stream[0]}, substream {tuple(stream[1:])!r}"] if stream is not None else []
+    where += [f"iteration {iteration}"] if iteration is not None else []
+    raise DomainError(f"model {model.name!r} simulated {problem}"
+                      + (f" ({', '.join(where)})" if where else ""))
 
 
 def joint_logdensity_unnorm(theta, bundle, t_y, kernel, model):

@@ -353,3 +353,19 @@ def test_trimmed_paths_take_scalars_and_one_dimensional_bundles():
                 for bundle in (0.3, np.array([0.3, -0.2, 1e-320]), np.array([[0.2]])):
                     _same_bytes(kernel.log_pooled(0.1, bundle),
                                 _ref_log_pooled(kernel, 0.1, bundle))
+
+
+@pytest.mark.parametrize("S", [1, 5])
+@pytest.mark.parametrize("far", [False, True])
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_lone_bundle_log_pooled_is_a_numpy_scalar(kind, far, S):
+    # a lone chain sums log_pooled into log_num every iteration: a 0-d array result
+    # would make each sum pay array dispatch.  The value is row 0 of the batch of
+    # one and the earlier composition's, bit for bit; far bundles take the gaussian
+    # underflow path (and the compact kernels' -inf)
+    kernel = SmoothingKernel(kind, 0.05 if far else 0.8)
+    bundle = (np.linspace(9.0, -9.0, S) if far else np.linspace(-0.6, 1.4, S))[:, np.newaxis]
+    got = kernel.log_pooled(0.3, bundle)
+    assert type(got) is np.float64
+    _same_bytes(got, kernel.log_pooled(0.3, bundle[np.newaxis])[0])
+    _same_bytes(got, _ref_log_pooled(kernel, 0.3, bundle))

@@ -53,11 +53,13 @@ def test_prior_logdensity_values(normal_mean, bernoulli):
 
 
 def test_prior_logdensity_batch_matches_scalar(normal_mean, bernoulli):
-    thetas = np.array([[-1.2], [0.0], [0.4], [2.0]])
+    thetas = np.array([[-1.2], [0.0], [0.4], [2.0], [np.nan]])
     for model in (normal_mean, bernoulli):
         batch = model.prior_logdensity(thetas)
         single = [model.prior_logdensity(t) for t in thetas]
         assert np.array_equal(batch, single)
+        # one theta's log prior is a scalar (np.float64 is a float), not a 0-d array
+        assert all(isinstance(lp, float) for lp in single), model.name
 
 
 def test_single_theta_is_row_zero_of_a_batch_of_one(normal_mean, bernoulli):
@@ -498,14 +500,16 @@ def test_public_names_resolve_and_test_only_names_are_gone():
             (lfs.Model, "hyperparameters"), (lfs.NormalMeanModel, "hyperparameters"),
             (lfs.BernoulliCountModel, "hyperparameters"), (lfs.diagnostics, "ks_2sample"),
             (lfs.output, "format_float"), (lfs.models, "_norm_pdf"), (lfs.models, "_beta_pdf"),
-            (lfs.target, "marginal_logestimate"), (lfs.smc, "ParticleSystem")]
+            (lfs.target, "marginal_logestimate"), (lfs.smc, "ParticleSystem"),
+            (lfs.mcmc, "_simulate_rows")]
     # an oracle is only its cdf
     oracle = lfs.NormalMeanModel().oracle(0.0, lfs.SmoothingKernel("gaussian", 1.0))
     gone += [(oracle, name) for name in ("posterior_density", "posterior_mean",
                                          "posterior_variance")]
     assert "incremental_weight_joint" not in lfs.__all__
     # used inside the library and by its tests only: importable from their own module
-    internal = {lfs.target: ("AugmentedState", "joint_logdensity_unnorm", "mh_step", "mh_move"),
+    internal = {lfs.target: ("AugmentedState", "joint_logdensity_unnorm", "mh_step", "mh_move",
+                             "propose"),
                 lfs.smc: ("ess", "incremental_weight_backward",
                           "incremental_weight_joint_general")}
     for module, names in internal.items():

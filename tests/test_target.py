@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from scipy import stats
 
 from lfs.errors import DomainError
 from lfs.kernels import SmoothingKernel
-from lfs.models import BernoulliCountModel, NormalMeanModel
+from lfs.mcmc import MCMC_VARIANTS, ProposalSpec, run_chains
+from lfs.models import BernoulliCountModel, NormalMeanModel, make_model
+from lfs.rejection import run_rejection
 from lfs.rng import substream
+from lfs.smc import SMC_VARIANTS, BandwidthSchedule, run_smc
 from lfs.target import (AugmentedState, joint_logdensity_unnorm, log_quotient, mh_step,
-                        simulate_checked)
+                        propose, simulate_checked)
 
 
 @pytest.fixture
@@ -180,6 +184,100 @@ def test_simulate_checked_counts_non_finite_summaries():
     out[0, 0] = -np.inf
     with pytest.raises(DomainError, match="1 non-finite summaries out of 3"):
         simulate_checked(_ShapeModel(out), np.zeros(1), 3, substream(1, "t"))
+
+
+# -- the one proposal stage --------------------------------------------------
+
+
+def test_propose_rows_outside_the_prior_keep_fill_and_draw_nothing():
+    # bernoulli-count's prior is [0, 1]: rows 1 and 3 lie outside it
+    model, kernel = BernoulliCountModel(), SmoothingKernel("gaussian", 2.5)
+    theta = np.array([[0.2], [1.4], [0.7], [-0.1], [0.5]])
+    live = np.array([True, False, True, False, True])
+    fill = np.full((5, 3, 1), 99.0)
+    # one generator: the live rows draw what they draw simulated on their own
+    rng, ref = substream(5, "t"), substream(5, "t")
+    state = propose(model, kernel, 7.0, 3, theta, rng, fill=fill)
+    assert np.array_equal(state.bundle[live], model.simulate(theta[live], 3, ref))
+    assert np.array_equal(state.bundle[~live], fill[~live])
+    assert rng.random() == ref.random()
+    assert np.array_equal(state.log_prior, model.prior_logdensity(theta))
+    assert np.array_equal(state.log_pooled, kernel.log_pooled(7.0, state.bundle))
+    assert np.all(state.log_num[~live] == -np.inf) and np.all(state.log_num[live] > -np.inf)
+    # one generator per row: a dead row's generator is left untouched
+    streams = [(6, "row", k) for k in range(5)]
+    rngs = [substream(*stream) for stream in streams]
+    state = propose(model, kernel, 7.0, 3, theta, rngs, streams, fill=fill)
+    for k, stream in enumerate(streams):
+        ref = substream(*stream)
+        if live[k]:
+            assert np.array_equal(state.bundle[k], model.simulate(theta[k], 3, ref))
+        else:
+            assert np.array_equal(state.bundle[k], fill[k])
+        assert rngs[k].random() == ref.random()
+    # no row inside it: every row keeps fill, on one generator or on one per row
+    for gen in (substream(5, "t"), [substream(6, "row", k) for k in (1, 3)]):
+        dead = propose(model, kernel, 7.0, 3, theta[~live], gen, fill=fill[~live])
+        assert np.array_equal(dead.bundle, fill[~live]) and np.all(dead.log_num == -np.inf)
+    # a lone theta outside the prior keeps its fill and draws nothing
+    rng = substream(7, "t")
+    lone = propose(model, kernel, 7.0, 3, np.array([1.4]), rng, fill=fill[1])
+    assert np.array_equal(lone.bundle, fill[1]) and lone.log_num == -np.inf
+    assert rng.random() == substream(7, "t").random()
+    assert np.array_equal(fill, np.full((5, 3, 1), 99.0))  # fill itself is never written
+
+
+@pytest.mark.parametrize("name", ["normal-mean", "bernoulli-count"])
+def test_propose_per_row_generators_give_each_row_its_lone_state(name):
+    model, kernel = make_model(name), SmoothingKernel("gaussian", 1.0)
+    theta = model.prior_sample(substream(8, "theta"), (6,))
+    streams = [(8, "row", k) for k in range(6)]
+    state = propose(model, kernel, 0.3, 4, theta, [substream(*s) for s in streams], streams, 2)
+    for k, stream in enumerate(streams):
+        lone = propose(model, kernel, 0.3, 4, theta[k], substream(*stream), stream, 2)
+        assert np.array_equal(state.bundle[k], lone.bundle)
+        assert (state.log_prior[k], state.log_pooled[k]) == (lone.log_prior, lone.log_pooled)
+
+
+class _CallerRecordingModel:
+    """Delegating wrapper that records the module each ``simulate`` call comes from."""
+
+    def __init__(self, model):
+        self._model = model
+        self.callers = []
+
+    def simulate(self, theta, n, rng):
+        self.callers.append(sys._getframe(1).f_globals["__name__"])
+        return self._model.simulate(theta, n, rng)
+
+    def __getattr__(self, item):
+        return getattr(self._model, item)
+
+
+def test_every_sampler_simulates_through_the_one_proposal_stage():
+    # bernoulli-count with random-walk steps of 0.3 around a posterior near 0.35:
+    # some proposals leave [0, 1], so the chains and particles see dead rows
+    kernel, proposal = SmoothingKernel("gaussian", 2.0), ProposalSpec("random-walk", 0.3)
+
+    def check(run):
+        model = _CallerRecordingModel(BernoulliCountModel())
+        run(model)
+        assert model.callers and set(model.callers) == {"lfs.target"}
+
+    for workers in (1, 2):
+        check(lambda m: run_rejection(m, kernel, 7.0, 2, 50, seed=3, workers=workers,
+                                      block_size=64))
+    for variant in MCMC_VARIANTS:
+        for C in (1, 4):
+            records = []
+            check(lambda m: run_chains(m, kernel, 7.0, 3, variant, proposal, 200, 0,
+                                       [(5, k) for k in range(C)], on_iteration=records.append))
+            dead = [np.count_nonzero(rec.prop.log_prior == -np.inf) for rec in records]
+            assert (len(records) < 200) if C == 1 else any(dead)
+    schedule = BandwidthSchedule.geometric(6.0, 2.0, 3)
+    for variant in SMC_VARIANTS:
+        check(lambda m: run_smc(m, kernel, schedule, 2, 100, variant, proposal, seed=9,
+                                t_y=7.0))
 
 
 # -- the scalar paths of log_quotient and mh_step, against the array composition --
