@@ -19,7 +19,7 @@ from .models import MODEL_NAMES, make_model
 from .rejection import DEFAULT_BLOCK_SIZE, DEFAULT_BUDGET, check_arguments as check_rejection
 from .rng import MAX_SEED
 from .smc import BandwidthSchedule, check_arguments as check_smc
-from .target import check_s_grid
+from .target import check_bundle_size, check_s_grid
 
 
 @dataclass
@@ -181,8 +181,9 @@ class RunConfig:
 
         The rules live in the constructors and the samplers' checks, which the
         experiments' step sds and S grids go through too; only the seed range, a
-        finite ``t_y`` and the experiment level are stated here.  Each failing
-        section adds one message, prefixed by the section's name.
+        finite ``t_y`` and the experiment level are stated here.  S, which every
+        sampler checks, is reported once, under ``[run]``.  Each failing section
+        adds one message, prefixed by the section's name.
         """
         run, rej, mcmc, smc, exp = (self.run, self.rejection, self.mcmc, self.smc,
                                     self.experiment)
@@ -191,6 +192,7 @@ class RunConfig:
             ("run", lambda: _require(0 <= run.seed <= MAX_SEED,
                                      "seed must be a 64-bit unsigned integer")),
             ("run", lambda: _require(math.isfinite(run.t_y), "t_y must be finite")),
+            ("run", lambda: check_bundle_size(run.s)),
             # every model, so a bad tau fails under --model bernoulli-count too
             ("model", lambda: [make_model(**dict(vars(self.model), name=name))
                                for name in (self.model.name, *MODEL_NAMES)]),
@@ -198,15 +200,14 @@ class RunConfig:
             # a model that does not build is reported under [model] only
             ("kernel", lambda: "model" in problems or self.build_kernel().distance.of_difference(
                 [0.0] * self.build_model().summary_dim)),
-            ("rejection", lambda: check_rejection(run.s, rej.n_accept, rej.budget,
-                                                  rej.block_size, 1)),
+            ("rejection", lambda: check_rejection(rej.n_accept, rej.budget, rej.block_size, 1)),
             ("mcmc", self.build_proposal),
             ("mcmc", lambda: check_mcmc(mcmc.variant, mcmc.n_iter,
                                         mcmc.resolved_burn_in(), mcmc.thin)),
             ("smc", self.build_mutation),
             ("smc", self.build_schedule),
-            ("smc", lambda: check_smc(smc.variant, run.s, smc.particles,
-                                      smc.ess_threshold, smc.reject_threshold)),
+            ("smc", lambda: check_smc(smc.variant, smc.particles, smc.ess_threshold,
+                                      smc.reject_threshold)),
             ("experiment", lambda: _require(0 < exp.level < 1, "level must lie in (0, 1)")),
             ("experiment", lambda: [ProposalSpec("random-walk", sd)
                                     for sd in (exp.bias_step_sd, exp.sinv_step_sd)]),

@@ -15,6 +15,8 @@ Each experiment returns a JSON-serializable report with a top-level
 ``passed`` flag.
 """
 
+from itertools import combinations
+
 import numpy as np
 
 from .diagnostics import (bootstrap_mean_diff_ci, ks_2sample_permutation,
@@ -158,6 +160,7 @@ def _sampler_moments(config, sampler, S, seeds):
 
 
 CROSS_SAMPLERS = ("rejection", "mcmc-carried", "smc-joint", "smc-backward")
+MOMENTS = ("mean", "variance")  # the order of _sampler_moments' pairs
 
 
 def cross_sampler_table(config):
@@ -173,28 +176,21 @@ def cross_sampler_table(config):
             stats = _sampler_moments(config, sampler, S,
                                      [derive_seed(config.run.seed, "cross", sampler, S, r)
                                       for r in range(exp.cross_replicates)])
-            means = np.array([s[0] for s in stats])
-            variances = np.array([s[1] for s in stats])
-            cell[sampler] = {
-                "mean": float(means.mean()),
-                "mean_se": float(means.std(ddof=1) / np.sqrt(means.size)),
-                "variance": float(variances.mean()),
-                "variance_se": float(variances.std(ddof=1) / np.sqrt(variances.size)),
-            }
+            cell[sampler] = {}
+            for j, moment in enumerate(MOMENTS):
+                values = np.array([s[j] for s in stats])
+                cell[sampler][moment] = float(values.mean())
+                cell[sampler][f"{moment}_se"] = float(values.std(ddof=1) / np.sqrt(values.size))
         pairs = {}
-        for i, a in enumerate(CROSS_SAMPLERS):
-            for b in CROSS_SAMPLERS[i + 1:]:
-                mean_tol = 3.0 * float(np.hypot(cell[a]["mean_se"], cell[b]["mean_se"]))
-                var_tol = 3.0 * float(np.hypot(cell[a]["variance_se"], cell[b]["variance_se"]))
-                mean_gap = abs(cell[a]["mean"] - cell[b]["mean"])
-                var_gap = abs(cell[a]["variance"] - cell[b]["variance"])
-                ok = bool(mean_gap <= mean_tol and var_gap <= var_tol)
-                pairs[f"{a}|{b}"] = {
-                    "mean_gap": mean_gap, "mean_tolerance": mean_tol,
-                    "variance_gap": var_gap, "variance_tolerance": var_tol,
-                    "ok": ok,
-                }
-                all_ok = all_ok and ok
+        for a, b in combinations(CROSS_SAMPLERS, 2):
+            pair = {}
+            for m in MOMENTS:
+                pair[f"{m}_gap"] = abs(cell[a][m] - cell[b][m])
+                pair[f"{m}_tolerance"] = 3.0 * float(np.hypot(cell[a][f"{m}_se"],
+                                                              cell[b][f"{m}_se"]))
+            pair["ok"] = all(pair[f"{m}_gap"] <= pair[f"{m}_tolerance"] for m in MOMENTS)
+            pairs[f"{a}|{b}"] = pair
+            all_ok = all_ok and pair["ok"]
         table[f"S={S}"] = {"samplers": cell, "pairs": pairs}
     return {"table": table, "ok": all_ok}
 
@@ -235,54 +231,39 @@ def experiment_mcwm_bias(config):
     oracle = model.oracle(t_y, kernel)
     proposal = ProposalSpec("random-walk", exp.bias_step_sd)
 
-    n_iter = exp.bias_iters
-    burn = n_iter // 10
-    rows = {}
-    for variant in (FRESH_DENOMINATOR, CARRIED_BUNDLE):
-        per_s = {}
-        for S in exp.bias_s_grid:
+    grid = exp.bias_s_grid
+    boot_rng = substream(seed, "bias", "bootstrap")
+    reports = {}
+    for variant in (FRESH_DENOMINATOR, CARRIED_BUNDLE):  # boot_rng is drawn fresh-first
+        ks = {}
+        for S in grid:
             chains = [(derive_seed(seed, "bias", variant, S, chain), chain)
                       for chain in range(exp.bias_chains)]
-            outs = run_chains(model, kernel, t_y, S, variant, proposal, n_iter, burn, chains,
-                              thin=exp.bias_thin)
-            per_s[S] = [ks_statistic(out.thetas[:, 0], oracle.cdf) for out in outs]
-        rows[variant] = per_s
+            outs = run_chains(model, kernel, t_y, S, variant, proposal, exp.bias_iters,
+                              exp.bias_iters // 10, chains, thin=exp.bias_thin)
+            ks[S] = [ks_statistic(out.thetas[:, 0], oracle.cdf) for out in outs]
+        reports[variant] = {
+            "mean_ks_by_s": {str(S): float(np.mean(ks[S])) for S in grid},
+            "ks_by_s": {str(S): ks[S] for S in grid},
+            "diff_ci99": list(bootstrap_mean_diff_ci(ks[grid[0]], ks[grid[-1]], boot_rng,
+                                                     level=0.99, n_boot=exp.bootstrap)),
+        }
 
-    s_lo, s_hi = min(exp.bias_s_grid), max(exp.bias_s_grid)
-    boot_rng = substream(seed, "bias", "bootstrap")
-    fresh_lo, fresh_hi = bootstrap_mean_diff_ci(
-        rows[FRESH_DENOMINATOR][s_lo], rows[FRESH_DENOMINATOR][s_hi], boot_rng,
-        level=0.99, n_boot=exp.bootstrap)
-    carried_lo, carried_hi = bootstrap_mean_diff_ci(
-        rows[CARRIED_BUNDLE][s_lo], rows[CARRIED_BUNDLE][s_hi], boot_rng,
-        level=0.99, n_boot=exp.bootstrap)
-
-    fresh_means = {S: float(np.mean(v)) for S, v in rows[FRESH_DENOMINATOR].items()}
-    carried_means = {S: float(np.mean(v)) for S, v in rows[CARRIED_BUNDLE].items()}
-    fresh_degrades_at_small_s = fresh_lo > 0.0
-    carried_no_trend = carried_lo <= 0.0 <= carried_hi
-    monotone = all(fresh_means[a] >= fresh_means[b]
-                   for a, b in zip(exp.bias_s_grid, exp.bias_s_grid[1:]))
-    large_s_ratio = fresh_means[s_hi] / carried_means[s_hi]
-
+    fresh, carried = reports[FRESH_DENOMINATOR], reports[CARRIED_BUNDLE]
+    fresh_means = list(fresh["mean_ks_by_s"].values())
+    fresh["monotone_decreasing"] = all(a >= b for a, b in zip(fresh_means, fresh_means[1:]))
+    fresh["label"] = "biased reference variant (fresh denominator)"
+    carried_lo, carried_hi = carried["diff_ci99"]
     return {
         "experiment": "mcwm-bias",
-        "passed": bool(fresh_degrades_at_small_s and carried_no_trend),
-        "s_grid": list(exp.bias_s_grid),
+        # the fresh chain degrades at small S; the carried chain shows no trend
+        "passed": fresh["diff_ci99"][0] > 0.0 and carried_lo <= 0.0 <= carried_hi,
+        "s_grid": list(grid),
         "chains_per_s": exp.bias_chains,
-        "fresh": {
-            "mean_ks_by_s": {str(S): fresh_means[S] for S in exp.bias_s_grid},
-            "ks_by_s": {str(S): rows[FRESH_DENOMINATOR][S] for S in exp.bias_s_grid},
-            "diff_ci99": [fresh_lo, fresh_hi],
-            "monotone_decreasing": bool(monotone),
-            "label": "biased reference variant (fresh denominator)",
-        },
-        "carried": {
-            "mean_ks_by_s": {str(S): carried_means[S] for S in exp.bias_s_grid},
-            "ks_by_s": {str(S): rows[CARRIED_BUNDLE][S] for S in exp.bias_s_grid},
-            "diff_ci99": [carried_lo, carried_hi],
-        },
-        "large_s_fresh_to_carried_ratio": float(large_s_ratio),
+        "fresh": fresh,
+        "carried": carried,
+        "large_s_fresh_to_carried_ratio":
+            fresh_means[-1] / carried["mean_ks_by_s"][str(grid[-1])],
     }
 
 
@@ -319,35 +300,26 @@ def experiment_s_invariance(config):
         acceptance["mcmc-carried"][S] = chain.acceptance_rate
 
     tests = {}
-    all_pass = True
-    for sampler, pops in populations.items():
-        grid = list(pops)
-        for i, a in enumerate(grid):
-            for b in grid[i + 1:]:
-                rng = substream(seed, "sinv", "perm", sampler, a, b)
-                stat, pval = ks_2sample_permutation(pops[a], pops[b], rng,
-                                                    n_perm=exp.permutations)
-                ok = bool(pval > level)
-                tests[f"{sampler}:S={a}|S={b}"] = {
-                    "statistic": stat, "p_value": pval, "ok": ok}
-                all_pass = all_pass and ok
 
+    def permutation_test(name, a, b, *path):
+        stat, pval = ks_2sample_permutation(a, b, substream(seed, "sinv", "perm", *path),
+                                            n_perm=exp.permutations)
+        tests[name] = {"statistic": stat, "p_value": pval, "ok": bool(pval > level)}
+
+    for sampler, pops in populations.items():
+        for a, b in combinations(pops, 2):
+            permutation_test(f"{sampler}:S={a}|S={b}", pops[a], pops[b], sampler, a, b)
     # null-case control: same sampler, same S, independent seeds
     s0 = exp.sinv_s_grid[0]
     control = run_rejection(model, kernel, t_y, s0, n,
                             derive_seed(seed, "sinv", "control", s0),
                             budget=config.rejection.budget)
-    rng = substream(seed, "sinv", "perm", "control")
-    stat, pval = ks_2sample_permutation(populations["rejection"][s0],
-                                        control.thetas[:, 0], rng,
-                                        n_perm=exp.permutations)
-    control_ok = bool(pval > level)
-    tests["control:rejection-replicate"] = {
-        "statistic": stat, "p_value": pval, "ok": control_ok}
+    permutation_test("control:rejection-replicate", populations["rejection"][s0],
+                     control.thetas[:, 0], "control")
 
     return {
         "experiment": "s-invariance",
-        "passed": bool(all_pass and control_ok),
+        "passed": all(test["ok"] for test in tests.values()),
         "level": level,
         "samples_per_population": n,
         "tests": tests,

@@ -22,7 +22,7 @@ its own substream exactly what it draws alone; ``run_mcmc`` is its batch of one.
 """
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import BudgetExhaustedError, ConfigurationError, DomainError
 from .kernels import _LOG_SQRT_2PI
 from .rng import substream
-from .target import AugmentedState, MoveRecord, mh_move, propose
+from .target import AugmentedState, MoveRecord, check_bundle_size, mh_move, propose
 from .target import joint_logdensity_unnorm  # noqa: F401 (unused; perfbench's self-test patches it)
 
 CARRIED_BUNDLE = "carried"
@@ -137,7 +137,7 @@ def initialize_chain(model, kernel, t_y, S, rng, init=None, init_budget=100_000,
 
 
 def check_arguments(variant, n_iter, burn_in, thin):
-    """The checks ``run_chains`` makes on its scalar arguments."""
+    """The checks ``run_chains`` makes on its scalar arguments besides S."""
     if variant not in MCMC_VARIANTS:
         raise ConfigurationError(f"unknown MCMC variant {variant!r}")
     if not (n_iter > burn_in >= 0):
@@ -161,7 +161,10 @@ def run_chains(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, chains
     theta.  Each iteration with a live proposal hands ``on_iteration`` its
     ``MoveRecord``.
     """
+    check_bundle_size(S)
     check_arguments(variant, n_iter, burn_in, thin)
+    if proposal.kind == "random-walk":  # the default step, resolved once per run
+        proposal = replace(proposal, step_sd=proposal.step(model))
     try:
         streams = [(seed, "mcmc", "chain", operator.index(k)) for seed, k in chains]
         rngs = [substream(*stream) for stream in streams]

@@ -89,21 +89,11 @@ def embedded_config(path):
     return RunConfig.from_text(config_text)
 
 
-def jsonable(value):
-    """Recursively convert numpy containers/scalars for JSON emission."""
-    if isinstance(value, dict):
-        return {k: jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    return value
+def _json_default(value):
+    """``json``'s hook for what it cannot encode: numpy arrays and scalars, via ``tolist``."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_json_summary(path, payload, config_text, seed):
@@ -111,7 +101,7 @@ def write_json_summary(path, payload, config_text, seed):
     body = dict(payload)
     body["provenance"] = {"config": config_text, "seed": int(seed), "version": __version__}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(jsonable(body), fh, sort_keys=True, indent=2)
+        json.dump(body, fh, sort_keys=True, indent=2, default=_json_default)
         fh.write("\n")
 
 

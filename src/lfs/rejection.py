@@ -72,9 +72,8 @@ def _in_block_order(pool, evaluate, n_blocks, ahead):
         yield pending.popleft().result()
 
 
-def check_arguments(S, n_accept, budget, block_size, workers):
-    """The checks ``run_rejection`` makes on its scalar arguments."""
-    check_bundle_size(S)
+def check_arguments(n_accept, budget, block_size, workers):
+    """The checks ``run_rejection`` makes on its scalar arguments besides S."""
     if n_accept < 1:
         raise ConfigurationError("n_accept must be >= 1")
     if block_size < 1 or budget < 1:
@@ -108,7 +107,8 @@ def run_rejection(model, kernel, t_y, S, n_accept, seed, *,
     BudgetExhaustedError
         If the proposal budget runs out first.
     """
-    check_arguments(S, n_accept, budget, block_size, workers)
+    check_bundle_size(S)
+    check_arguments(n_accept, budget, block_size, workers)
 
     def evaluate(block):
         return _evaluate_block(model, kernel, t_y, S, seed, block, block_size)

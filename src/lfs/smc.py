@@ -26,7 +26,7 @@ particles, so a run is a deterministic function of the seed.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -223,8 +223,8 @@ def apply_particle_rejection(weights, threshold, rng):
     return np.where(below, np.where(survive, cutoff, 0.0), w)
 
 
-def check_arguments(variant, S, N, ess_threshold, reject_threshold=None):
-    """The checks ``run_smc`` makes on its scalar arguments."""
+def check_arguments(variant, N, ess_threshold, reject_threshold=None):
+    """The checks ``run_smc`` makes on its scalar arguments besides S."""
     if variant not in SMC_VARIANTS:
         raise ConfigurationError(f"unknown SMC variant {variant!r}")
     if reject_threshold is not None:
@@ -232,7 +232,6 @@ def check_arguments(variant, S, N, ess_threshold, reject_threshold=None):
             raise ConfigurationError("reject_threshold is only valid for the backward variant")
         if not 0.0 < reject_threshold < 1.0:
             raise ConfigurationError("reject_threshold must lie in (0, 1)")
-    check_bundle_size(S)
     if N < 2:
         raise ConfigurationError("need at least two particles")
     if not 0.0 < ess_threshold <= 1.0:
@@ -262,9 +261,12 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
         Called with each joint-move step's ``MoveRecord``.  The backward
         variant makes no MH move, so passing it there is a ConfigurationError.
     """
-    check_arguments(variant, S, N, ess_threshold, reject_threshold)
+    check_bundle_size(S)
+    check_arguments(variant, N, ess_threshold, reject_threshold)
     if on_mutation is not None and variant != JOINT_MCMC_MOVE:
         raise ConfigurationError("on_mutation records MH moves; only joint-move SMC makes them")
+    if mutation.kind == "random-walk":  # the default step, resolved once per run
+        mutation = replace(mutation, step_sd=mutation.step(model))
     hs = schedule.values
 
     # step 1: prior draws, bundles, weights proportional to the pooled kernel

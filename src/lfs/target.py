@@ -93,11 +93,14 @@ def check_bundle_size(S):
 
 
 def check_s_grid(name, grid):
-    """The rule on an experiment's S grid: at least one S, each a valid bundle size."""
+    """The rule on an experiment's S grid: at least one S, each a valid bundle size,
+    strictly increasing (a repeated S would collapse two populations into one)."""
     if not grid:
         raise ConfigurationError(f"{name} must hold at least one S")
     for S in grid:
         check_bundle_size(S)
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ConfigurationError(f"{name} must be strictly increasing, got {list(grid)}")
 
 
 def simulate_checked(model, theta, S, rng, stream=None, iteration=None):

@@ -30,7 +30,7 @@ from lfs import cli
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "digests.json")
 
-# [experiment] sections of the two reduced experiment runs
+# [experiment] sections of the three reduced experiment runs
 CONFIGS = {
     "mcwm-bias.cfg": ("[experiment]\nbias_s_grid = 1, 10, 100\nbias_chains = 3\n"
                       "bias_iters = 1000\nbias_thin = 5\nbias_step_sd = 1.0\n"
@@ -40,6 +40,8 @@ CONFIGS = {
                         "cross_replicates = 3\ncross_s_grid = 1, 3\n"
                         "cross_samples = 200\ncross_mcmc_iters = 1000\n"
                         "cross_smc_particles = 120\ncross_smc_steps = 4\n"),
+    "s-invariance.cfg": ("[experiment]\nsinv_s_grid = 1, 2\nsinv_samples = 200\n"
+                         "sinv_mcmc_thin = 2\npermutations = 19\n"),
 }
 
 _NORMAL = ["--model", "normal-mean"]
@@ -99,11 +101,13 @@ CASES = [
      "--s", "2", "--seed", "37", *_OUT],
     ["smc", "--variant", "backward", *_BERN, "--kernel", "uniform", *_SMC,
      "--s", "3", "--seed", "38", *_OUT],
-    # the reduced experiments; both exit 1, as runs this small are too short for
-    # their statistical verdicts, and their report bytes are what is checked
+    # the reduced experiments; the first two exit 1, as runs this small are too
+    # short for their statistical verdicts, and their report bytes are what is checked
     ["experiment", "mcwm-bias", "--config", "mcwm-bias.cfg", "--seed", "41",
      "--out", "report.json"],
     ["experiment", "equivalence", "--config", "equivalence.cfg", "--seed", "42",
+     "--out", "report.json"],
+    ["experiment", "s-invariance", "--config", "s-invariance.cfg", "--seed", "43",
      "--out", "report.json"],
 ]
 

@@ -31,8 +31,8 @@ class ConstantKernel:
 
 class CountingModel:
     """Delegating wrapper that counts bundles simulated (one per theta row), summaries
-    and calls of ``prior_logdensity``.  The simulation counts stay exact when pool
-    threads simulate at once."""
+    and calls of ``prior_logdensity`` and ``prior_sd``.  The simulation counts stay
+    exact when pool threads simulate at once."""
 
     def __init__(self, model):
         self._model = model
@@ -40,10 +40,15 @@ class CountingModel:
         self.n_calls = 0
         self.n_summaries = 0
         self.n_prior_calls = 0
+        self.n_prior_sd_calls = 0
 
     def prior_logdensity(self, theta):
         self.n_prior_calls += 1
         return self._model.prior_logdensity(theta)
+
+    def prior_sd(self):
+        self.n_prior_sd_calls += 1
+        return self._model.prior_sd()
 
     def simulate(self, theta, n, rng):
         rows = math.prod(np.shape(theta)[:-1])

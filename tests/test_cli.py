@@ -95,7 +95,9 @@ def test_validate_config_ok_and_bad(tmp_path, capsys):
                               "[experiment]\ncross_s_grid = 1, 0\n",
                               "[experiment]\ncross_s_grid =\n",
                               "[experiment]\nbias_s_grid =\n",
-                              "[experiment]\nsinv_s_grid =\n"]):
+                              "[experiment]\nsinv_s_grid =\n",
+                              "[experiment]\nsinv_s_grid = 5, 5\n",
+                              "[experiment]\nbias_s_grid = 100, 10, 1\n"]):
         rejected = tmp_path / f"rejected{i}.cfg"
         rejected.write_text(text)
         assert run_cli(["validate-config", "--config", str(rejected)]) == cli.EXIT_CONFIG, text

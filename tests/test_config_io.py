@@ -69,9 +69,9 @@ def test_validation_messages_cover_sections():
 
 # One bad value per input rule that a constructor or a sampler check owns:
 # (overrides, section named in validate's message, the owner's own call).
-# S is an argument of the rejection and SMC checks, so they report it.
+# S is a [run] key that every sampler checks on entry, so [run] reports it.
 _OWNED_RULES = [
-    ({"run.s": 0}, "rejection", lambda c: check_rejection(c.run.s, 1, 1, 1, 1)),
+    ({"run.s": 0}, "run", lambda c: check_bundle_size(c.run.s)),
     ({"model.name": "bogus"}, "model", lambda c: c.build_model()),
     ({"model.prior_sd": -1.0}, "model", lambda c: c.build_model()),
     ({"model.trials": 0}, "model",
@@ -80,30 +80,35 @@ _OWNED_RULES = [
     ({"kernel.h": -1.0}, "kernel", lambda c: c.build_kernel()),
     ({"kernel.distance": "manhattan"}, "kernel", lambda c: c.build_kernel()),
     ({"rejection.n_accept": 0}, "rejection",
-     lambda c: check_rejection(1, c.rejection.n_accept, 1, 1, 1)),
+     lambda c: check_rejection(c.rejection.n_accept, 1, 1, 1)),
     ({"rejection.block_size": 0}, "rejection",
-     lambda c: check_rejection(1, 1, 1, c.rejection.block_size, 1)),
+     lambda c: check_rejection(1, 1, c.rejection.block_size, 1)),
     ({"mcmc.variant": "bogus"}, "mcmc", lambda c: check_mcmc(c.mcmc.variant, 10, 1, 1)),
     ({"mcmc.proposal": "bogus"}, "mcmc", lambda c: c.build_proposal()),
     ({"mcmc.burn_in": 20_000}, "mcmc",
      lambda c: check_mcmc("carried", c.mcmc.n_iter, c.mcmc.resolved_burn_in(), 1)),
     ({"mcmc.thin": 0}, "mcmc", lambda c: check_mcmc("carried", 10, 1, c.mcmc.thin)),
     ({"mcmc.step_sd": -0.5}, "mcmc", lambda c: c.build_proposal()),
-    ({"smc.variant": "bogus"}, "smc", lambda c: check_smc(c.smc.variant, 1, 10, 0.5)),
+    ({"smc.variant": "bogus"}, "smc", lambda c: check_smc(c.smc.variant, 10, 0.5)),
     ({"smc.steps": 0}, "smc", lambda c: c.build_schedule()),
     ({"smc.h_end": 3.0}, "smc", lambda c: c.build_schedule()),
-    ({"smc.particles": 1}, "smc", lambda c: check_smc("joint-move", 1, c.smc.particles, 0.5)),
+    ({"smc.particles": 1}, "smc", lambda c: check_smc("joint-move", c.smc.particles, 0.5)),
     ({"smc.ess_threshold": 1.5}, "smc",
-     lambda c: check_smc("joint-move", 1, 10, c.smc.ess_threshold)),
+     lambda c: check_smc("joint-move", 10, c.smc.ess_threshold)),
     ({"smc.reject_threshold": 0.5}, "smc",
-     lambda c: check_smc(c.smc.variant, 1, 10, 0.5, c.smc.reject_threshold)),
+     lambda c: check_smc(c.smc.variant, 10, 0.5, c.smc.reject_threshold)),
     ({"smc.variant": "backward", "smc.reject_threshold": 1.5}, "smc",
-     lambda c: check_smc(c.smc.variant, 1, 10, 0.5, c.smc.reject_threshold)),
+     lambda c: check_smc(c.smc.variant, 10, 0.5, c.smc.reject_threshold)),
     ({"experiment.bias_step_sd": math.nan}, "experiment",
      lambda c: ProposalSpec("random-walk", c.experiment.bias_step_sd)),
     ({"experiment.sinv_s_grid": (1, 0)}, "experiment",
      lambda c: [check_bundle_size(S) for S in c.experiment.sinv_s_grid]),
     ({"experiment.bias_s_grid": ()}, "experiment",
+     lambda c: check_s_grid("bias_s_grid", c.experiment.bias_s_grid)),
+    # a repeated S collapses two populations; a decreasing grid flips the monotone check
+    ({"experiment.sinv_s_grid": (5, 5)}, "experiment",
+     lambda c: check_s_grid("sinv_s_grid", c.experiment.sinv_s_grid)),
+    ({"experiment.bias_s_grid": (100, 10, 1)}, "experiment",
      lambda c: check_s_grid("bias_s_grid", c.experiment.bias_s_grid)),
 ]
 
@@ -127,6 +132,13 @@ def test_each_input_rule_has_one_owner():
             cfg.validate()
         with pytest.raises(ConfigurationError):
             owner(cfg)
+
+
+def test_s_is_reported_once_under_run():
+    cfg = RunConfig().apply_overrides({("run", "s"): 0})
+    with pytest.raises(ConfigurationError) as err:
+        cfg.validate()
+    assert str(err.value) == "[run] S must be >= 1"
 
 
 def test_builders():
@@ -170,7 +182,7 @@ def test_json_stable_and_jsonable(tmp_path):
     path_a = tmp_path / "a.json"
     path_b = tmp_path / "b.json"
     payload = {"z": np.float64(1.5), "a": np.arange(3), "flag": np.bool_(True),
-               "neg": -np.inf}
+               "neg": -np.inf, "steps": np.asarray([2, 5], dtype=np.int64)}
     write_json_summary(path_a, payload, "cfg", 1)
     write_json_summary(path_b, dict(reversed(list(payload.items()))), "cfg", 1)
     assert path_a.read_bytes() == path_b.read_bytes()
@@ -178,6 +190,10 @@ def test_json_stable_and_jsonable(tmp_path):
     assert body["a"] == [0, 1, 2]
     assert body["neg"] == -math.inf
     assert body["provenance"]["seed"] == 1
+    assert body["steps"] == [2, 5] and body["flag"] is True
+    # only numpy values are converted; anything else json cannot encode is an error
+    with pytest.raises(TypeError, match="object"):
+        write_json_summary(tmp_path / "c.json", {"x": object()}, "cfg", 1)
 
 
 def test_rerun_from_embedded_config_reproduces(tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ from lfs.experiments import (EXPERIMENTS, cross_sampler_table,
 from lfs.kernels import SmoothingKernel
 from lfs.mcmc import PROPOSAL_KINDS, ProposalSpec
 from lfs.models import NormalMeanModel
-from lfs.output import jsonable
 from lfs.smc import BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule, run_smc
 
 
@@ -60,7 +59,7 @@ def test_dual_bookkeeping_mcmc_matches_production_for_each_proposal(kind):
 def test_s_invariance_report_round_trips():
     cfg = small_config()
     report = experiment_s_invariance(cfg)
-    text = json.dumps(jsonable(report), sort_keys=True)
+    text = json.dumps(report, sort_keys=True)
     again = json.loads(text)
     assert json.dumps(again, sort_keys=True) == text
     assert again["experiment"] == "s-invariance"
@@ -74,7 +73,7 @@ def test_cross_table_report_shape():
         assert set(cell["samplers"]) == {"rejection", "mcmc-carried",
                                          "smc-joint", "smc-backward"}
         assert len(cell["pairs"]) == 6
-    json.dumps(jsonable(report))  # serializable
+    json.dumps(report)  # serializable as it is
 
 
 def test_smc_final_target_s_invariant():

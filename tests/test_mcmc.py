@@ -221,6 +221,26 @@ def test_prior_evaluated_once_per_iteration(variant, kind):
     assert batched.n_prior_calls <= n_iter + 4 + 1
 
 
+def test_bundle_size_is_checked_on_entry(model, kernel):
+    with pytest.raises(ConfigurationError, match="S must be >= 1"):
+        run_chains(model, kernel, 0.0, 0, CARRIED_BUNDLE, ProposalSpec(), 10, 0, [(1, 0)])
+
+
+@pytest.mark.parametrize("variant", MCMC_VARIANTS)
+def test_default_step_is_resolved_once_per_run(variant):
+    kernel = SmoothingKernel("gaussian", 1.0)
+    counting = CountingModel(make_model("bernoulli-count"))
+    out = run_chains(counting, kernel, 7.0, 2, variant, ProposalSpec(), 200, 0,
+                     [(5, 0), (5, 1)])
+    assert counting.n_prior_sd_calls == 1
+    # the same chains as with the resolved step given explicitly
+    step = make_model("bernoulli-count").prior_sd() / 2.0
+    again = run_chains(make_model("bernoulli-count"), kernel, 7.0, 2, variant,
+                       ProposalSpec(step_sd=step), 200, 0, [(5, 0), (5, 1)])
+    for a, b in zip(out, again):
+        assert np.array_equal(a.thetas, b.thetas) and np.array_equal(a.log_nums, b.log_nums)
+
+
 @pytest.mark.parametrize("variant", MCMC_VARIANTS)
 def test_batch_records_are_never_mutated(variant):
     # random-walk steps on bernoulli-count leave [0, 1] in some rows; with the

@@ -171,10 +171,10 @@ def test_worker_ceiling_is_checked_before_any_pool_exists(monkeypatch):
         raise AssertionError("a pool was created")
 
     monkeypatch.setattr("lfs.rejection.ThreadPoolExecutor", no_pool)
-    check_arguments(1, 10, 1000, 100, MAX_WORKERS)
+    check_arguments(10, 1000, 100, MAX_WORKERS)
     for workers in (0, MAX_WORKERS + 1):
         with pytest.raises(ConfigurationError, match="workers"):
-            check_arguments(1, 10, 1000, 100, workers)
+            check_arguments(10, 1000, 100, workers)
         with pytest.raises(ConfigurationError, match="workers"):
             run_rejection(NormalMeanModel(), SmoothingKernel("gaussian", 1.0), 0.0, 1, 10,
                           seed=1, workers=workers)

@@ -75,13 +75,13 @@ def test_schedule_validation():
 
 
 def test_variant_spec_validation():
-    check_arguments(BACKWARD_KERNEL, 1, 10, 0.5, reject_threshold=0.3)
+    check_arguments(BACKWARD_KERNEL, 10, 0.5, reject_threshold=0.3)
     with pytest.raises(ConfigurationError):
-        check_arguments(JOINT_MCMC_MOVE, 1, 10, 0.5, reject_threshold=0.3)
+        check_arguments(JOINT_MCMC_MOVE, 10, 0.5, reject_threshold=0.3)
     with pytest.raises(ConfigurationError):
-        check_arguments(BACKWARD_KERNEL, 1, 10, 0.5, reject_threshold=1.5)
+        check_arguments(BACKWARD_KERNEL, 10, 0.5, reject_threshold=1.5)
     with pytest.raises(ConfigurationError):
-        check_arguments("bogus", 1, 10, 0.5)
+        check_arguments("bogus", 10, 0.5)
 
 
 # -- effective sample size and resampling ------------------------------------
@@ -443,6 +443,14 @@ def test_backward_agrees_with_joint(model, kernel):
     gap = abs(stats[JOINT_MCMC_MOVE][0] - stats[BACKWARD_KERNEL][0])
     tol = 3.0 * math.hypot(stats[JOINT_MCMC_MOVE][1], stats[BACKWARD_KERNEL][1])
     assert gap < tol
+
+
+@pytest.mark.parametrize("variant", [JOINT_MCMC_MOVE, BACKWARD_KERNEL])
+def test_default_step_is_resolved_once_per_run(model, kernel, variant):
+    counting = CountingModel(model)
+    run_smc(counting, kernel, BandwidthSchedule.geometric(2.0, 0.5, 6), 1, 100, variant,
+            ProposalSpec(), seed=10, t_y=0.0)
+    assert counting.n_prior_sd_calls == 1
 
 
 def test_backward_simulator_call_counts(model, kernel):
