@@ -21,7 +21,7 @@ from .errors import (BudgetExhaustedError, CapabilityError, ConfigurationError,
                      DomainError, ParticleCollapseError)
 from .experiments import EXPERIMENTS
 from .kernels import KERNEL_KINDS
-from .mcmc import MCMC_VARIANTS, PROPOSAL_KINDS, run_mcmc
+from .mcmc import FRESH_DENOMINATOR, FRESH_LABEL, MCMC_VARIANTS, PROPOSAL_KINDS, run_mcmc
 from .models import MODEL_NAMES
 from .output import (resolve_out_path, summary_path_for, write_json_summary,
                      write_samples_csv)
@@ -184,8 +184,8 @@ def cmd_mcmc(args):
         "acceptance_rate": out.acceptance_rate,
         "kept_samples": int(out.thetas.shape[0]),
     }
-    if out.variant == "fresh":
-        summary["note"] = "biased reference variant (fresh denominator)"
+    if out.variant == FRESH_DENOMINATOR:
+        summary["note"] = FRESH_LABEL
     path = _write_run(cfg, args, model, kernel, out.thetas, summary,
                       before=[("iteration", out.iterations)],
                       after=[("accepted", out.accepted), ("log_num", out.log_nums)])

@@ -12,14 +12,15 @@ import typing
 from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
+from .experiments import CHECKS as EXPERIMENT_CHECKS
 from .kernels import SmoothingKernel, SummaryDistance
-from .mcmc import ProposalSpec, check_arguments as check_mcmc
+from .mcmc import ProposalSpec, check_arguments as check_mcmc, check_init
 from .models import MODEL_NAMES, make_model
 from .rejection import DEFAULT_BLOCK_SIZE, DEFAULT_BUDGET, check_arguments as check_rejection
 from .rng import MAX_SEED
 from .smc import BandwidthSchedule, check_arguments as check_smc
-from .target import check_bundle_size, check_s_grid
+from .target import check_bundle_size
 
 
 @dataclass
@@ -179,14 +180,13 @@ class RunConfig:
     def validate(self):
         """Check every section by building what it describes.
 
-        The rules live in the constructors and the samplers' checks, which the
-        experiments' step sds and S grids go through too; only the seed range, a
-        finite ``t_y`` and the experiment level are stated here.  S, which every
-        sampler checks, is reported once, under ``[run]``.  Each failing section
-        adds one message, prefixed by the section's name.
+        The rules live in the constructors, the samplers' checks and each
+        experiment's check on its sizes; only the seed range and a finite ``t_y``
+        are stated here.  S, which every sampler checks, is reported once, under
+        ``[run]``.  Each failing section adds one message, prefixed by the
+        section's name.
         """
-        run, rej, mcmc, smc, exp = (self.run, self.rejection, self.mcmc, self.smc,
-                                    self.experiment)
+        run, rej, mcmc, smc = self.run, self.rejection, self.mcmc, self.smc
         problems = {}
         checks = [
             ("run", lambda: _require(0 <= run.seed <= MAX_SEED,
@@ -204,21 +204,19 @@ class RunConfig:
             ("mcmc", self.build_proposal),
             ("mcmc", lambda: check_mcmc(mcmc.variant, mcmc.n_iter,
                                         mcmc.resolved_burn_in(), mcmc.thin)),
+            ("mcmc", lambda: "model" in problems or mcmc.init is None
+             or check_init(self.build_model(), mcmc.init)),
             ("smc", self.build_mutation),
             ("smc", self.build_schedule),
             ("smc", lambda: check_smc(smc.variant, smc.particles, smc.ess_threshold,
                                       smc.reject_threshold)),
-            ("experiment", lambda: _require(0 < exp.level < 1, "level must lie in (0, 1)")),
-            ("experiment", lambda: [ProposalSpec("random-walk", sd)
-                                    for sd in (exp.bias_step_sd, exp.sinv_step_sd)]),
-            ("experiment", lambda: [check_s_grid(name, getattr(exp, name)) for name in (
-                "cross_s_grid", "bias_s_grid", "sinv_s_grid")]),
+            ("experiment", lambda: [check(self) for check in EXPERIMENT_CHECKS]),
         ]
         for section, check in checks:
             if section not in problems:
                 try:
                     check()
-                except ConfigurationError as exc:
+                except (ConfigurationError, DomainError) as exc:
                     problems[section] = f"[{section}] {exc}"
         if problems:
             raise ConfigurationError("; ".join(problems.values()))

@@ -21,12 +21,59 @@ import numpy as np
 
 from .diagnostics import (bootstrap_mean_diff_ci, ks_2sample_permutation,
                           ks_statistic, weighted_moments)
-from .mcmc import CARRIED_BUNDLE, FRESH_DENOMINATOR, ProposalSpec, run_chains, run_mcmc
-from .rejection import run_rejection
+from .errors import ConfigurationError
+from .mcmc import (CARRIED_BUNDLE, FRESH_DENOMINATOR, FRESH_LABEL, ProposalSpec,
+                   check_arguments as check_mcmc, run_chains, run_mcmc)
+from .rejection import check_arguments as check_rejection, run_rejection
 from .rng import derive_seed, substream
 from .smc import (BACKWARD_KERNEL, JOINT_MCMC_MOVE, BandwidthSchedule,
-                  incremental_weight_joint_general, run_smc)
+                  check_arguments as check_smc, incremental_weight_joint_general, run_smc)
 from .target import check_s_grid, joint_logdensity_unnorm, log_quotient, mh_step
+
+
+def _at_least(exp, **floors):
+    """The rules on [experiment] sizes that no sampler owns: each key at least its floor."""
+    for key, floor in floors.items():
+        if getattr(exp, key) < floor:
+            raise ConfigurationError(f"{key} must be >= {floor}")
+
+
+# Each experiment's checks on the [experiment] keys it reads, made on entry and by
+# ``RunConfig.validate``.  A size handed to a sampler goes through that sampler's own
+# check, with its other arguments at valid values (their own sections are checked).
+
+def check_equivalence(config):
+    exp = config.experiment
+    # a standard error needs two replicates; a one-step joint-move run makes no move
+    _at_least(exp, cross_replicates=2, equivalence_steps=2)
+    check_s_grid("cross_s_grid", exp.cross_s_grid)
+    check_mcmc(CARRIED_BUNDLE, exp.equivalence_iters, 0, 1)
+    check_mcmc(CARRIED_BUNDLE, exp.cross_mcmc_iters, exp.cross_mcmc_iters // 10, 1)
+    check_smc(JOINT_MCMC_MOVE, exp.equivalence_particles, 1.0)
+    check_smc(BACKWARD_KERNEL, exp.cross_smc_particles, 1.0)
+    BandwidthSchedule.geometric(4.0, 1.0, exp.cross_smc_steps)
+    check_rejection(exp.cross_samples, 1, 1, 1)
+
+
+def check_mcwm_bias(config):
+    exp = config.experiment
+    _at_least(exp, bootstrap=1)
+    check_s_grid("bias_s_grid", exp.bias_s_grid)
+    ProposalSpec("random-walk", exp.bias_step_sd)
+    check_mcmc(FRESH_DENOMINATOR, exp.bias_iters, exp.bias_iters // 10, exp.bias_thin,
+               exp.bias_chains)
+
+
+def check_s_invariance(config):
+    exp = config.experiment
+    _at_least(exp, permutations=1)  # no permutation gives every test p = 1
+    if not 0 < exp.level < 1:
+        raise ConfigurationError("level must lie in (0, 1)")
+    check_s_grid("sinv_s_grid", exp.sinv_s_grid)
+    ProposalSpec("random-walk", exp.sinv_step_sd)
+    check_rejection(exp.sinv_samples, 1, 1, 1)
+    n_iter = exp.sinv_samples * exp.sinv_mcmc_thin
+    check_mcmc(CARRIED_BUNDLE, n_iter + n_iter // 10, n_iter // 10, exp.sinv_mcmc_thin)
 
 
 def _max_discrepancy(a, b):
@@ -198,6 +245,7 @@ def cross_sampler_table(config):
 def experiment_equivalence(config):
     """Dual-bookkeeping discrepancies (must be exactly zero) plus the
     cross-sampler moment comparison over the configured S grid."""
+    check_equivalence(config)
     mcmc_part = dual_bookkeeping_mcmc(config)
     smc_part = dual_bookkeeping_smc(config)
     cross = cross_sampler_table(config)
@@ -222,12 +270,12 @@ def experiment_mcwm_bias(config):
     """KS-to-oracle distances of fresh-denominator vs carried-bundle chains
     across the S grid; the fresh chain must improve with S, the carried chain
     must show no trend."""
+    check_mcwm_bias(config)
     model = config.build_model()
     kernel = config.build_kernel()
     t_y = config.run.t_y
     seed = config.run.seed
     exp = config.experiment
-    check_s_grid("bias_s_grid", exp.bias_s_grid)
     oracle = model.oracle(t_y, kernel)
     proposal = ProposalSpec("random-walk", exp.bias_step_sd)
 
@@ -252,7 +300,7 @@ def experiment_mcwm_bias(config):
     fresh, carried = reports[FRESH_DENOMINATOR], reports[CARRIED_BUNDLE]
     fresh_means = list(fresh["mean_ks_by_s"].values())
     fresh["monotone_decreasing"] = all(a >= b for a, b in zip(fresh_means, fresh_means[1:]))
-    fresh["label"] = "biased reference variant (fresh denominator)"
+    fresh["label"] = FRESH_LABEL
     carried_lo, carried_hi = carried["diff_ci99"]
     return {
         "experiment": "mcwm-bias",
@@ -274,12 +322,12 @@ def experiment_mcwm_bias(config):
 def experiment_s_invariance(config):
     """Pairwise permutation KS tests between the S-populations of the
     rejection and carried-bundle MCMC samplers, plus a same-S control."""
+    check_s_invariance(config)
     model = config.build_model()
     kernel = config.build_kernel()
     t_y = config.run.t_y
     seed = config.run.seed
     exp = config.experiment
-    check_s_grid("sinv_s_grid", exp.sinv_s_grid)
     n = exp.sinv_samples
     level = exp.level
 
@@ -335,3 +383,4 @@ EXPERIMENTS = {
     "mcwm-bias": experiment_mcwm_bias,
     "s-invariance": experiment_s_invariance,
 }
+CHECKS = (check_equivalence, check_mcwm_bias, check_s_invariance)

@@ -35,6 +35,7 @@ from .target import joint_logdensity_unnorm  # noqa: F401 (unused; perfbench's s
 
 CARRIED_BUNDLE = "carried"
 FRESH_DENOMINATOR = "fresh"
+FRESH_LABEL = "biased reference variant (fresh denominator)"  # in every fresh report
 MCMC_VARIANTS = (CARRIED_BUNDLE, FRESH_DENOMINATOR)
 
 PROPOSAL_KINDS = ("random-walk", "prior")
@@ -114,20 +115,24 @@ class McmcOutput:
     n_iter: int
 
 
-def initialize_chain(model, kernel, t_y, S, rng, init=None, init_budget=100_000,
-                     stream=None):
+def check_init(model, init):
+    """``init`` as a parameter array, if it lies inside the prior's support."""
+    init = np.atleast_1d(np.asarray(init, dtype=float))
+    if model.prior_logdensity(init) == -np.inf:
+        raise DomainError(f"init theta={init} outside the prior's support")
+    return init
+
+
+def initialize_chain(model, kernel, t_y, S, rng, init=None, init_budget=100_000):
     """Draw a starting ``AugmentedState`` with nonzero pooled kernel (budgeted).
 
     With ``init`` the parameter is fixed and only its bundle is redrawn.
-    ``stream`` is the ``(seed, *path)`` of ``rng``, named by simulator errors.
     """
     if init is not None:
-        init = np.atleast_1d(np.asarray(init, dtype=float))
-        if model.prior_logdensity(init) == -np.inf:
-            raise DomainError(f"init theta={init} outside the prior's support")
+        init = check_init(model, init)
     for _ in range(init_budget):
         theta = model.prior_sample(rng) if init is None else init
-        state = propose(model, kernel, t_y, S, theta, rng, stream, 0)
+        state = propose(model, kernel, t_y, S, theta, rng, 0)
         if state.log_num > -np.inf:
             return state
     where = "from the prior" if init is None else f"at init theta={init}"
@@ -136,14 +141,16 @@ def initialize_chain(model, kernel, t_y, S, rng, init=None, init_budget=100_000,
         f"in {init_budget} draws", proposals_used=init_budget)
 
 
-def check_arguments(variant, n_iter, burn_in, thin):
+def check_arguments(variant, n_iter, burn_in, thin, n_chains=1):
     """The checks ``run_chains`` makes on its scalar arguments besides S."""
     if variant not in MCMC_VARIANTS:
         raise ConfigurationError(f"unknown MCMC variant {variant!r}")
+    if thin < 1:  # before the length, which an experiment derives from its thin
+        raise ConfigurationError("thin must be >= 1")
     if not (n_iter > burn_in >= 0):
         raise ConfigurationError("need n_iter > burn_in >= 0")
-    if thin < 1:
-        raise ConfigurationError("thin must be >= 1")
+    if n_chains < 1:
+        raise ConfigurationError("chains must hold at least one (seed, chain_id) pair")
 
 
 def run_chains(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, chains, *,
@@ -156,27 +163,21 @@ def run_chains(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, chains
     proposal; then, only inside the prior's support, its simulation, the fresh
     re-simulation and the uniform.  The batch is one ``AugmentedState`` with
     rows (C, ...); a lone chain has no leading axis (numpy scalars are cheaper
-    than (1,) arrays).  A row whose proposal leaves the support has log prior
-    -inf and is rejected by ``mh_move``.  ``init`` starts every chain at one
-    theta.  Each iteration with a live proposal hands ``on_iteration`` its
-    ``MoveRecord``.
+    than (1,) arrays).  A proposal outside the prior's support (log prior -inf)
+    is rejected by ``mh_move``.  ``init`` starts every chain at one theta.  Each
+    iteration with a live proposal hands ``on_iteration`` its ``MoveRecord``.
     """
     check_bundle_size(S)
-    check_arguments(variant, n_iter, burn_in, thin)
-    if proposal.kind == "random-walk":  # the default step, resolved once per run
-        proposal = replace(proposal, step_sd=proposal.step(model))
     try:
-        streams = [(seed, "mcmc", "chain", operator.index(k)) for seed, k in chains]
-        rngs = [substream(*stream) for stream in streams]
+        rngs = [substream(seed, "mcmc", "chain", operator.index(k)) for seed, k in chains]
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"chains must be (seed, chain_id) integer pairs: {exc}") from None
-    if not rngs:
-        raise ConfigurationError("chains must hold at least one (seed, chain_id) pair")
     C = len(rngs)
-    count, draw, origin = ((bool, rngs[0], streams[0]) if C == 1
-                           else (np.count_nonzero, rngs, streams))
-    states = [initialize_chain(model, kernel, t_y, S, rng, init, init_budget, stream)
-              for rng, stream in zip(rngs, streams)]
+    check_arguments(variant, n_iter, burn_in, thin, C)
+    if proposal.kind == "random-walk":  # the default step, resolved once per run
+        proposal = replace(proposal, step_sd=proposal.step(model))
+    count, draw = (bool, rngs[0]) if C == 1 else (np.count_nonzero, rngs)
+    states = [initialize_chain(model, kernel, t_y, S, rng, init, init_budget) for rng in rngs]
     state = states[0] if C == 1 else AugmentedState(*map(np.array, zip(*(
         (s.theta, s.bundle, s.log_prior, s.log_pooled) for s in states))))
     symmetric = proposal.symmetric
@@ -184,19 +185,16 @@ def run_chains(model, kernel, t_y, S, variant, proposal, n_iter, burn_in, chains
     kept_thetas, kept_lognums = np.empty((kept.size, C, model.param_dim)), np.empty((kept.size, C))
     flags = np.zeros((n_iter + 1, C), dtype=bool)
     for n in range(1, n_iter + 1):
-        theta_prop = proposal.sample(state.theta, model, draw)
-        # the support check's value is the proposal's log prior
-        log_prior_prop = model.prior_logdensity(theta_prop)
-        live = log_prior_prop > -np.inf
+        prop = propose(model, kernel, t_y, S, proposal.sample(state.theta, model, draw), draw,
+                       n, state.bundle)
+        live = prop.log_prior > -np.inf
         if count(live):
-            prop = propose(model, kernel, t_y, S, theta_prop, draw, origin, n, state.bundle,
-                           log_prior_prop)
             if variant == FRESH_DENOMINATOR:
                 # latest estimate at the current parameters, in the rows with a live proposal
-                fresh = propose(model, kernel, t_y, S, state.theta, draw, origin, n, state.bundle,
+                fresh = propose(model, kernel, t_y, S, state.theta, draw, n, state.bundle,
                                 state.log_prior if count(live) == C  # lone: True == 1
                                 else np.where(live, state.log_prior, -np.inf))
-                fresh.log_prior, state = state.log_prior, fresh  # its log prior, unmasked
+                state = AugmentedState(state.theta, fresh.bundle, state.log_prior, fresh.log_pooled)
             u = (draw.random() if C == 1 else  # uniform()'s draw, without its 0 + 1 * x
                  np.array([rng.random() if ok else 1.0 for rng, ok in zip(rngs, live)]))
             curr = state

@@ -97,12 +97,16 @@ def _json_default(value):
 
 
 def write_json_summary(path, payload, config_text, seed):
-    """JSON with stable key order and a provenance block (config echo, seed, version)."""
+    """JSON with stable key order and a provenance block (config echo, seed, version).
+
+    A NaN or infinite float raises ``ValueError`` (JSON has no token for it),
+    before the file is opened.
+    """
     body = dict(payload)
     body["provenance"] = {"config": config_text, "seed": int(seed), "version": __version__}
+    text = json.dumps(body, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(body, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def summary_path_for(csv_path):

@@ -54,9 +54,8 @@ class RejectionOutput:
 
 def _evaluate_block(model, kernel, t_y, S, seed, block, block_size):
     """Propose one block on its own substream; returns (thetas, bundles, accept mask)."""
-    stream = (seed, "reject", "block", block)
-    rng = substream(*stream)
-    prop = propose(model, kernel, t_y, S, model.prior_sample(rng, (block_size,)), rng, stream)
+    rng = substream(seed, "reject", "block", block)
+    prop = propose(model, kernel, t_y, S, model.prior_sample(rng, (block_size,)), rng)
     u = rng.uniform(size=block_size)
     with np.errstate(divide="ignore"):  # u = 0 gives log 0 = -inf: accepted, as u * sup < pooled
         accept = np.log(u) + np.log(kernel.sup_value()) < prop.log_pooled

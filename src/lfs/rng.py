@@ -15,8 +15,14 @@ import numpy as np
 MAX_SEED = 2**64 - 1
 
 
+class Substream(np.random.Generator):
+    """A ``numpy.random.Generator`` that knows its ``address``, ``(seed, *path)``."""
+
+    __slots__ = ("address",)
+
+
 def substream(seed, *path):
-    """Return an independent ``numpy.random.Generator`` for this address.
+    """Return an independent ``Substream`` for this address.
 
     Parameters
     ----------
@@ -26,8 +32,9 @@ def substream(seed, *path):
         Module tag and indices (block, chain, step, particle, ...) naming
         the unit of work.
     """
-    key = stream_key(seed, *path)
-    return np.random.Generator(np.random.Philox(key=key))
+    rng = Substream(np.random.Philox(key=stream_key(seed, *path)))
+    rng.address = (seed, *path)
+    return rng
 
 
 def derive_seed(seed, *path):

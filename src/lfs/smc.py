@@ -270,10 +270,9 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
     hs = schedule.values
 
     # step 1: prior draws, bundles, weights proportional to the pooled kernel
-    stream = (seed, "smc", "init")
-    rng_init = substream(*stream)
+    rng_init = substream(seed, "smc", "init")
     state = propose(model, kernel.with_bandwidth(hs[0]), t_y, S,
-                    model.prior_sample(rng_init, (N,)), rng_init, stream)
+                    model.prior_sample(rng_init, (N,)), rng_init)
     log_w = state.log_pooled
     norm_w = normalize_log_weights(log_w, step=1)
     ess_trace = [ess(norm_w)]
@@ -305,10 +304,9 @@ def run_smc(model, kernel, schedule, S, N, variant, mutation, seed, t_y, *,
             resampled_steps.append(k)
 
         # one proposal per particle; rows outside the prior keep their bundle
-        stream = (seed, "smc", "step", k, "mutate")
-        rng = substream(*stream)
+        rng = substream(seed, "smc", "step", k, "mutate")
         prop = propose(model, kern, t_y, S, mutation.sample(state.theta, model, rng), rng,
-                       stream, fill=state.bundle)
+                       fill=state.bundle)
 
         if variant == JOINT_MCMC_MOVE:
             # one carried-bundle MH step per particle, invariant for the new target

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
+from .rng import Substream
 
 
 @dataclass(slots=True)
@@ -103,52 +104,50 @@ def check_s_grid(name, grid):
         raise ConfigurationError(f"{name} must be strictly increasing, got {list(grid)}")
 
 
-def simulate_checked(model, theta, S, rng, stream=None, iteration=None):
+def simulate_checked(model, theta, S, rng, iteration=None):
     """``model.simulate(theta, S, rng)`` with its output checked, as ``propose`` simulates.
 
     A bundle of the wrong shape, or holding a NaN or infinite summary, raises
     ``DomainError`` instead of becoming a silent kernel miss or a NaN weight.
-    ``stream`` is the ``(seed, *path)`` that ``rng`` came from and
-    ``iteration`` the MCMC iteration (0 for the chain's initialization); the
-    error names them, so ``substream(*stream)`` replays the bad draw.
+    The error names the MCMC ``iteration`` (0 at a chain's initialization) and,
+    for a ``Substream``, ``rng.address``, so ``substream(*rng.address)`` replays it.
     """
     expected = (*np.shape(theta)[:-1], S, model.summary_dim)
-    return _check_bundle(model, model.simulate(theta, S, rng), expected, stream, iteration)
+    return _check_bundle(model, model.simulate(theta, S, rng), expected, rng, iteration)
 
 
-def propose(model, kernel, t_y, S, theta, rng, stream=None, iteration=None, fill=None,
-            log_prior=None):
+def propose(model, kernel, t_y, S, theta, rng, iteration=None, fill=None, log_prior=None):
     """The ``AugmentedState`` of theta (p,) or (n, p) with fresh bundles: every sampler's states.
 
     The log prior is evaluated unless given.  Only rows inside its support are
     simulated; the others keep ``fill``'s bundle (without ``fill``, all rows are).
-    ``rng`` is one generator, or one per row with ``stream`` listing their paths:
-    row k then draws what it draws alone, and a bad row's error names its stream.
+    ``rng`` is one generator, or one per row (row k then draws what it draws alone).
     """
     if log_prior is None:
         log_prior = model.prior_logdensity(theta)
     if theta.ndim == 1:  # a lone theta: no row bookkeeping
-        bundle = (simulate_checked(model, theta, S, rng, stream, iteration)
-                  if fill is None or log_prior > -np.inf else fill)
+        if fill is not None and not log_prior > -np.inf:  # zero mass: no draw, no kernel call
+            return AugmentedState(theta, fill, log_prior, -np.inf)
+        bundle = simulate_checked(model, theta, S, rng, iteration)
         return AugmentedState(theta, bundle, log_prior, kernel.log_pooled(t_y, bundle))
     rows = np.arange(len(theta)) if fill is None else (log_prior > -np.inf).nonzero()[0]
     every = rows.size == len(theta)
     if isinstance(rng, np.random.Generator):
-        bundle = simulate_checked(model, theta if every else theta[rows], S, rng, stream, iteration)
+        bundle = simulate_checked(model, theta if every else theta[rows], S, rng, iteration)
     else:
         bundles = [model.simulate(theta[k], S, rng[k]) for k in rows]
         expected = (S, model.summary_dim)
         bundle = np.array(bundles) if all(np.shape(b) == expected for b in bundles) else None
         if bundle is None or np.count_nonzero(np.isfinite(bundle)) < bundle.size:
             for k, b in zip(rows, bundles):  # the first bad row raises
-                _check_bundle(model, b, expected, stream[k], iteration)
+                _check_bundle(model, b, expected, rng[k], iteration)
     if not every:  # the reshape: a per-row stack of no rows is (0,)
         bundle, simulated = fill.copy(), bundle
         bundle[rows] = simulated.reshape(rows.size, *fill.shape[1:])
     return AugmentedState(theta, bundle, log_prior, kernel.log_pooled(t_y, bundle))
 
 
-def _check_bundle(model, bundle, expected, stream, iteration):
+def _check_bundle(model, bundle, expected, rng, iteration):
     """``bundle`` if it has shape ``expected`` and only finite values; else the error above."""
     if np.shape(bundle) != expected:
         problem = f"summaries of shape {np.shape(bundle)}, expected {expected}"
@@ -158,7 +157,8 @@ def _check_bundle(model, bundle, expected, stream, iteration):
             return bundle
         problem = (f"{np.count_nonzero(~finite.all(axis=-1))} non-finite summaries out of "
                    f"{bundle.size // expected[-1]}")
-    where = [f"seed {stream[0]}, substream {tuple(stream[1:])!r}"] if stream is not None else []
+    where = ([f"seed {rng.address[0]}, substream {rng.address[1:]!r}"]
+             if isinstance(rng, Substream) else [])
     where += [f"iteration {iteration}"] if iteration is not None else []
     raise DomainError(f"model {model.name!r} simulated {problem}"
                       + (f" ({', '.join(where)})" if where else ""))

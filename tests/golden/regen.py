@@ -82,6 +82,10 @@ CASES = [
      "--s", "5", "--proposal", "prior", "--n-iter", "1000", "--seed", "25", *_OUT],
     ["mcmc", "--variant", "carried", *_BERN, "--kernel", "uniform", "--h", "0.5",
      "--s", "1", "--n-iter", "1500", "--seed", "26", *_OUT],
+    # fresh on bernoulli-count: about a third of the proposals leave [0, 1], so the
+    # rows outside the prior's support skip their re-estimate and are rejected
+    ["mcmc", "--variant", "fresh", *_BERN, "--kernel", "uniform", "--h", "0.5",
+     "--s", "3", "--step-sd", "0.5", "--n-iter", "1500", "--seed", "27", *_OUT],
     # SMC: joint-move and backward, with and without --reject-threshold
     ["smc", "--variant", "joint-move", *_NORMAL, "--kernel", "gaussian", *_SMC,
      "--s", "1", "--seed", "31", *_OUT],

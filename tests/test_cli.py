@@ -97,7 +97,15 @@ def test_validate_config_ok_and_bad(tmp_path, capsys):
                               "[experiment]\nbias_s_grid =\n",
                               "[experiment]\nsinv_s_grid =\n",
                               "[experiment]\nsinv_s_grid = 5, 5\n",
-                              "[experiment]\nbias_s_grid = 100, 10, 1\n"]):
+                              "[experiment]\nbias_s_grid = 100, 10, 1\n",
+                              "[mcmc]\ninit = nan\n",
+                              "[mcmc]\ninit = 2.5\n[model]\nname = bernoulli-count\n",
+                              "[experiment]\nbias_chains = 0\n",
+                              "[experiment]\nsinv_samples = 0\n",
+                              "[experiment]\nbootstrap = 0\n",
+                              "[experiment]\ncross_replicates = 1\n",
+                              "[experiment]\npermutations = 0\n",
+                              "[experiment]\nequivalence_steps = 1\n"]):
         rejected = tmp_path / f"rejected{i}.cfg"
         rejected.write_text(text)
         assert run_cli(["validate-config", "--config", str(rejected)]) == cli.EXIT_CONFIG, text

@@ -182,18 +182,26 @@ def test_json_stable_and_jsonable(tmp_path):
     path_a = tmp_path / "a.json"
     path_b = tmp_path / "b.json"
     payload = {"z": np.float64(1.5), "a": np.arange(3), "flag": np.bool_(True),
-               "neg": -np.inf, "steps": np.asarray([2, 5], dtype=np.int64)}
+               "steps": np.asarray([2, 5], dtype=np.int64)}
     write_json_summary(path_a, payload, "cfg", 1)
     write_json_summary(path_b, dict(reversed(list(payload.items()))), "cfg", 1)
     assert path_a.read_bytes() == path_b.read_bytes()
     body = json.loads(path_a.read_text())
     assert body["a"] == [0, 1, 2]
-    assert body["neg"] == -math.inf
     assert body["provenance"]["seed"] == 1
     assert body["steps"] == [2, 5] and body["flag"] is True
     # only numpy values are converted; anything else json cannot encode is an error
     with pytest.raises(TypeError, match="object"):
         write_json_summary(tmp_path / "c.json", {"x": object()}, "cfg", 1)
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf, np.float64(math.inf),
+                                   np.array([0.5, math.nan])])
+def test_json_summary_refuses_non_finite_floats(tmp_path, value):
+    # JSON has no NaN or Infinity token; a strict reader would reject the file
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_json_summary(tmp_path / "x.json", {"x": value}, "cfg", 1)
+    assert not (tmp_path / "x.json").exists()  # no truncated file is left behind
 
 
 def test_rerun_from_embedded_config_reproduces(tmp_path, monkeypatch):

@@ -1,11 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from lfs.config import RunConfig
 from lfs.diagnostics import weighted_moments
+from lfs.errors import ConfigurationError
 from lfs.experiments import (EXPERIMENTS, cross_sampler_table,
                              dual_bookkeeping_mcmc, dual_bookkeeping_smc,
                              experiment_s_invariance)
@@ -35,6 +37,31 @@ def small_config():
 
 def test_registry_names():
     assert set(EXPERIMENTS) == {"equivalence", "mcwm-bias", "s-invariance"}
+
+
+# (experiment, [experiment] key, a value it cannot run with, the message's rule)
+_BAD_SIZES = [
+    ("equivalence", "cross_replicates", 1, "cross_replicates must be >= 2"),
+    ("equivalence", "equivalence_steps", 1, "equivalence_steps must be >= 2"),
+    ("mcwm-bias", "bootstrap", 0, "bootstrap must be >= 1"),
+    ("mcwm-bias", "bias_chains", 0, "chains must hold at least one"),
+    ("s-invariance", "permutations", 0, "permutations must be >= 1"),
+    ("s-invariance", "sinv_samples", 0, "n_accept must be >= 1"),
+    ("s-invariance", "sinv_mcmc_thin", 0, "thin must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("name,key,value,rule", _BAD_SIZES)
+def test_experiment_sizes_are_checked_on_entry_and_by_validate(name, key, value, rule):
+    cfg = small_config()
+    cfg.experiment.bias_s_grid, cfg.experiment.bias_chains = (1, 10), 2
+    cfg.experiment.bias_iters, cfg.experiment.bootstrap = 500, 200
+    setattr(cfg.experiment, key, value)
+    with pytest.raises(ConfigurationError, match=re.escape(f"[experiment] {rule}")):
+        cfg.validate()
+    # refused before any sampler runs, not at the end or never
+    with pytest.raises(ConfigurationError, match=rule):
+        EXPERIMENTS[name](cfg)
 
 
 def test_dual_bookkeeping_small_runs_are_exact():

@@ -186,6 +186,27 @@ def test_simulate_checked_counts_non_finite_summaries():
         simulate_checked(_ShapeModel(out), np.zeros(1), 3, substream(1, "t"))
 
 
+@pytest.mark.parametrize("seed,path", [(0, ()), (5, ("t",)),
+                                       (2**64 - 1, ("smc", "step", 3, "mutate"))])
+def test_substream_carries_its_address(seed, path):
+    rng = substream(seed, *path)
+    assert isinstance(rng, np.random.Generator)
+    assert rng.address == (seed, *path)
+    assert rng.random() == substream(*rng.address).random()
+
+
+def test_check_error_names_a_substream_and_no_other_generator():
+    out = np.zeros((3, 1))
+    out[0, 0] = np.nan
+    message = "model 'normal-mean' simulated 1 non-finite summaries out of 3"
+    with pytest.raises(DomainError) as err:
+        simulate_checked(_ShapeModel(out), np.zeros(1), 3, substream(3, "t", 2))
+    assert str(err.value) == message + " (seed 3, substream ('t', 2))"
+    with pytest.raises(DomainError) as err:
+        simulate_checked(_ShapeModel(out), np.zeros(1), 3, np.random.default_rng(3))
+    assert str(err.value) == message
+
+
 # -- the one proposal stage --------------------------------------------------
 
 
@@ -207,7 +228,7 @@ def test_propose_rows_outside_the_prior_keep_fill_and_draw_nothing():
     # one generator per row: a dead row's generator is left untouched
     streams = [(6, "row", k) for k in range(5)]
     rngs = [substream(*stream) for stream in streams]
-    state = propose(model, kernel, 7.0, 3, theta, rngs, streams, fill=fill)
+    state = propose(model, kernel, 7.0, 3, theta, rngs, fill=fill)
     for k, stream in enumerate(streams):
         ref = substream(*stream)
         if live[k]:
@@ -232,9 +253,9 @@ def test_propose_per_row_generators_give_each_row_its_lone_state(name):
     model, kernel = make_model(name), SmoothingKernel("gaussian", 1.0)
     theta = model.prior_sample(substream(8, "theta"), (6,))
     streams = [(8, "row", k) for k in range(6)]
-    state = propose(model, kernel, 0.3, 4, theta, [substream(*s) for s in streams], streams, 2)
+    state = propose(model, kernel, 0.3, 4, theta, [substream(*s) for s in streams], 2)
     for k, stream in enumerate(streams):
-        lone = propose(model, kernel, 0.3, 4, theta[k], substream(*stream), stream, 2)
+        lone = propose(model, kernel, 0.3, 4, theta[k], substream(*stream), 2)
         assert np.array_equal(state.bundle[k], lone.bundle)
         assert (state.log_prior[k], state.log_pooled[k]) == (lone.log_prior, lone.log_pooled)
 
